@@ -11,6 +11,7 @@ from .errors import (
     BlockNotInvertible,
     BudgetExceeded,
     DeterminantObstruction,
+    IllConditioned,
     InsufficientPoints,
     MathematicalObstruction,
     NotInvertible,

@@ -22,10 +22,9 @@ class Tolerances:
     hermitian: float = 1e-10      # Hermitian symmetry defect, relative
     unitary: float = 1e-10        # unitarity defect ||u*u - 1||
     trace: float = 1e-10          # trace identities, relative
-    exp_log: float = 1e-9         # exp/log round trips, relative
     determinant: float = 1e-8     # determinant phase defects, relative
     exact: float = 1e-12          # "exact" algebraic identities, absolute-ish
-    positivity: float = 1e-12     # relative eigenvalue floor for definiteness
+    positivity: float = 1e-12     # relative singular/eigenvalue floor: invertible, definite
 
     def scaled(self, reference: float) -> "Tolerances":
         """Return a copy with every threshold multiplied by reference/1e-10."""

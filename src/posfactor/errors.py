@@ -12,7 +12,11 @@ class MathematicalObstruction(PosfactorError):
 
 
 class NotInvertible(MathematicalObstruction):
-    """Input matrix is singular to working precision."""
+    """Input matrix is singular: a zero singular value or an exactly zero determinant."""
+
+
+class IllConditioned(PosfactorError):
+    """Invertible input too ill-conditioned for the tolerance pack: a precision limit."""
 
 
 class DeterminantObstruction(MathematicalObstruction):

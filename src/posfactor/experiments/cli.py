@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: factor, sweep-trotter, sweep-commutator, obstruction, density,
-verify.  Exit codes: 0 success; 1 for I/O, configuration, and budget errors;
-2 for mathematical obstructions (non-positive determinants, singular inputs,
-nonzero traces) and failed verification checks.
+verify.  Exit codes: 0 success; 1 for I/O, configuration, budget and precision
+errors (ill-conditioned input); 2 for mathematical obstructions (non-positive
+determinants, singular inputs, nonzero traces) and failed verification checks.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from pathlib import Path
 
 from ..errors import (
     BudgetExceeded,
+    IllConditioned,
     InsufficientPoints,
     MathematicalObstruction,
 )
@@ -332,7 +333,7 @@ def main(argv=None) -> int:
     except (BudgetExceeded, InsufficientPoints) as exc:
         sys.stderr.write(f"budget: {exc}\n")
         return 1
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError, IllConditioned) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

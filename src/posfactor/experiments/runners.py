@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import rng as rnd
+from ..config import tolerances
 from ..errors import InsufficientPoints
 from ..factorlab import (
     commutator_exp_factors,
@@ -100,7 +101,7 @@ def _sweep(config: ExperimentConfig, kind: str, pair_factory=None) -> SweepResul
     rows: list[SweepRow] = []
     orders: dict[int, float | None] = {}
     degenerate: dict[int, bool] = {}
-    noise_floor = 1e-10
+    noise_floor = tolerances().reconstruction
     if len(set(int(s) for s in config.steps)) < 2:
         raise ValueError("sweep needs at least two distinct step counts")
     if pair_factory is None:
@@ -214,7 +215,7 @@ def run_density_check(config: ExperimentConfig) -> list[dict]:
                 "N": correction.required,
                 "dense": bool(dense),
                 "productDeviation": product_dev,
-                "passed": bool(dense and product_dev <= 1e-12),
+                "passed": bool(dense and product_dev <= tolerances().exact),
             }
         )
     return rows

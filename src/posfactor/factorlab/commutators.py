@@ -14,7 +14,7 @@ import numpy as np
 
 from ..config import tolerances
 from ..errors import TraceObstruction
-from ..matcore import as_square_matrix, hermitian_defect, hermitian_part, operator_norm
+from ..matcore import as_square_matrix, hermitian_part, is_hermitian, operator_norm
 from .types import CommutatorDecomposition
 
 __all__ = [
@@ -84,7 +84,7 @@ def _similarity_zero_diagonalizer(c: np.ndarray) -> np.ndarray:
     Callers pass c normalized to unit norm so the noise floor is absolute.
     """
     n = c.shape[0]
-    if n == 1 or operator_norm(c) <= 1e-13:
+    if n == 1 or operator_norm(c) <= tolerances().exact / 10:
         return np.eye(n, dtype=complex)
     best_score, best_v = -1.0, None
     for v in _candidate_vectors(n):
@@ -116,7 +116,7 @@ def _similarity_zero_diagonalizer(c: np.ndarray) -> np.ndarray:
 def shoda_commutator(c) -> tuple[np.ndarray, np.ndarray]:
     """Single pair (x, y) with x y - y x = c, for traceless c.
 
-    Raises TraceObstruction when |tr c| exceeds 1e-10 * ||c||.  Hermitian and
+    Raises TraceObstruction when |tr c| exceeds tol.trace * ||c||.  Hermitian and
     skew-Hermitian inputs go through a unitary frame, so both x and y come
     back Hermitian; general inputs use a well-conditioned similarity.
     """
@@ -125,7 +125,7 @@ def shoda_commutator(c) -> tuple[np.ndarray, np.ndarray]:
     n = c.shape[0]
     scale = operator_norm(c)
     trace = complex(np.trace(c))
-    if abs(trace) > tol.hermitian * (scale if scale > 0 else 1.0):
+    if abs(trace) > tol.trace * (scale if scale > 0 else 1.0):
         raise TraceObstruction(
             f"trace {trace:.6g} is nonzero relative to ||c|| = {scale:.6g}; "
             "commutators are traceless"
@@ -136,8 +136,8 @@ def shoda_commutator(c) -> tuple[np.ndarray, np.ndarray]:
     x_frame = np.diag(np.arange(1, n + 1)).astype(complex)
     if scale == 0.0:
         return hermitian_part(x_frame), np.zeros((n, n), dtype=complex)
-    herm = hermitian_defect(c) <= tol.hermitian * scale
-    skew = hermitian_defect(1j * c) <= tol.hermitian * scale
+    herm = is_hermitian(c)
+    skew = is_hermitian(1j * c)
     if herm or skew:
         h = hermitian_part(c) if herm else hermitian_part(-1j * c)
         w = _unitary_zero_diagonalizer(h)

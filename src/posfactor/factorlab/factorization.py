@@ -1,10 +1,10 @@
 """Constructive factorizations into products of positive definite matrices.
 
-The workhorse is the commutator pipeline: a determinant-one unitary is
-written as exp of a commutator, the commutator as a group-commutator limit,
-and each approximant block as three positive definite factors.  A general
-invertible matrix with real positive determinant prepends its polar positive
-part, for a predicted count of trotter * pairs * 3 * commutator^2 + 1.
+The workhorse is the commutator pipeline, which runs one pair: a
+determinant-one unitary is exp of one commutator [x, y] with x and y Hermitian,
+approximated by one three-factor group-commutator block repeated t * c^2
+times.  A general invertible matrix with real positive determinant appends its
+polar positive part, for a predicted count of trotter * 3 * commutator^2 + 1.
 """
 
 from __future__ import annotations
@@ -13,18 +13,21 @@ import numpy as np
 import scipy.linalg
 
 from ..config import tolerances
-from ..errors import NotInvertible, DeterminantObstruction
+from ..errors import DeterminantObstruction
 from ..matcore import (
     as_square_matrix,
     chain_product,
     hermitian_defect,
     hermitian_part,
+    is_positive_definite,
     matrix_exp,
     operator_norm,
     polar_decompose,
+    require_hermitian,
+    require_invertible,
     traceless_unitary_log,
 )
-from .commutators import hermitian_pair_split, shoda_commutator
+from .commutators import shoda_commutator
 from .types import (
     DEFAULT_SCHEDULE,
     TRIVIAL_SCHEDULE,
@@ -56,10 +59,7 @@ def two_positive_split(x, s) -> PositiveFactorization:
     n = x.shape[0]
     if s.shape != x.shape:
         raise ValueError("x and s must share one shape")
-    sv = np.linalg.svd(s, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= 1e-12 * sv[0]:
-        raise NotInvertible("witness s is singular to working precision")
-    cond = float(sv[0] / sv[-1])
+    cond = require_invertible(s, np.linalg.svd(s, compute_uv=False), "witness s")
     s_inv = np.linalg.inv(s)
     d = s_inv @ x @ s
     scale = max(operator_norm(x), 1.0)
@@ -89,18 +89,12 @@ def conjugate_positive_as_two(v, p) -> PositiveFactorization:
     """
     v = as_square_matrix(v, "v")
     p = as_square_matrix(p, "p")
-    tol = tolerances()
     if v.shape != p.shape:
         raise ValueError("v and p must have matching shapes")
-    _require_positive_definite(p, "p")
-    parts = polar_decompose(v)  # raises NotInvertible for singular v
-    u, q = parts.unitary, parts.positive
-    w, z = np.linalg.eigh(q)
-    q_inv2 = (z * w**-2.0) @ z.conj().T
-    f1 = hermitian_part(u @ (q @ p @ q) @ u.conj().T)
-    f2 = hermitian_part(u @ q_inv2 @ u.conj().T)
+    if not is_positive_definite(p):
+        raise ValueError("p must be positive definite within tolerance")
+    factors = _conjugated_pair(v, p)
     target = v @ p @ np.linalg.inv(v)
-    factors = (f1, f2)
     error = operator_norm(target - chain_product(factors, v.shape[0]))
     return PositiveFactorization(
         target=target, factors=factors, error=float(error),
@@ -126,6 +120,17 @@ def trotter_factors(a, b, n: int) -> list[np.ndarray]:
     return [ea, eb] * n
 
 
+def _conjugated_pair(v: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positive (u q p q u*, u q^{-2} u*) with product v p v^{-1}, for v = u q polar."""
+    parts = polar_decompose(v)
+    u, q = parts.unitary, parts.positive
+    w, z = np.linalg.eigh(q)
+    q_inv2 = (z * w**-2.0) @ z.conj().T
+    f1 = hermitian_part(u @ (q @ p @ q) @ u.conj().T)
+    f2 = hermitian_part(u @ q_inv2 @ u.conj().T)
+    return f1, f2
+
+
 def _block_triple(a_step: np.ndarray, b_step: np.ndarray) -> list[np.ndarray]:
     """Three positive factors whose product is exp(-a) exp(-b) exp(a) exp(b).
 
@@ -133,16 +138,8 @@ def _block_triple(a_step: np.ndarray, b_step: np.ndarray) -> list[np.ndarray]:
     commutator block v e^{-b} v^{-1} e^{b} with v = e^{-a} expands through
     the polar split v = u q into (u q e^{-b} q u*)(u q^{-2} u*)(e^{b}).
     """
-    v = matrix_exp(-a_step)
-    p = matrix_exp(-b_step)
-    e = matrix_exp(b_step)
-    parts = polar_decompose(v)
-    u, q = parts.unitary, parts.positive
-    w, z = np.linalg.eigh(q)
-    q_inv2 = (z * w**-2.0) @ z.conj().T
-    f1 = hermitian_part(u @ (q @ p @ q) @ u.conj().T)
-    f2 = hermitian_part(u @ q_inv2 @ u.conj().T)
-    return [f1, f2, e]
+    f1, f2 = _conjugated_pair(matrix_exp(-a_step), matrix_exp(-b_step))
+    return [f1, f2, matrix_exp(b_step)]
 
 
 def commutator_exp_factors(a, b, n: int) -> PositiveFactorization:
@@ -159,10 +156,7 @@ def commutator_exp_factors(a, b, n: int) -> PositiveFactorization:
     n = int(n)
     if n < 1:
         raise ValueError("step count must be >= 1")
-    tol = tolerances()
-    scale_b = operator_norm(b)
-    if hermitian_defect(b) > tol.hermitian * (scale_b if scale_b > 0 else 1.0):
-        raise ValueError("b must be Hermitian within tolerance")
+    require_hermitian(b, "b")
     b = hermitian_part(b)
     target = matrix_exp(a @ b - b @ a)
     triple = _block_triple(a / n, b / n)
@@ -180,7 +174,7 @@ def commutator_exp_factors(a, b, n: int) -> PositiveFactorization:
     )
 
 
-def _scaled_triple(x: np.ndarray, y: np.ndarray, trotter: int, commutator: int):
+def _scaled_triple(x: np.ndarray, y: np.ndarray, schedule: FactorizationSchedule):
     """Block triple for exp([x, y]/trotter) with a tuned splitting scale.
 
     The scale s (from the deterministic grid s0 * 2^k, k in -2..2, with
@@ -188,18 +182,13 @@ def _scaled_triple(x: np.ndarray, y: np.ndarray, trotter: int, commutator: int):
     commutator is unchanged but the measured block error varies; the smallest
     measured error wins, ties to the smaller exponent.
     """
-    t_steps = int(trotter)
-    c_steps = int(commutator)
-    norm_x = operator_norm(x)
-    norm_y = operator_norm(y)
+    t_steps, c_steps = schedule.trotter_steps, schedule.commutator_steps
     piece_target = matrix_exp((x @ y - y @ x) / t_steps)
-    s0 = np.sqrt(t_steps * norm_x / norm_y)
+    s0 = np.sqrt(t_steps * operator_norm(x) / operator_norm(y))
     best_err, best_triple = np.inf, None
     for k in (-2, -1, 0, 1, 2):
         s = s0 * 2.0**k
-        a_step = x / (s * c_steps)
-        b_step = (s * y) / (t_steps * c_steps)
-        triple = _block_triple(a_step, b_step)
+        triple = _block_triple(x / (s * c_steps), (s * y) / (t_steps * c_steps))
         block = triple[0] @ triple[1] @ triple[2]
         piece = np.linalg.matrix_power(block, c_steps * c_steps)
         err = operator_norm(piece - piece_target)
@@ -208,49 +197,37 @@ def _scaled_triple(x: np.ndarray, y: np.ndarray, trotter: int, commutator: int):
     return best_triple
 
 
+def _unitary_factors(u: np.ndarray, schedule: FactorizationSchedule) -> tuple[np.ndarray, ...]:
+    """Factors of a det-one unitary, () for the identity, from its one Hermitian pair."""
+    tol = tolerances()
+    n = u.shape[0]
+    a = traceless_unitary_log(u).hermitian  # validates unitarity and determinant
+    if operator_norm(a) <= tol.exact / 10:
+        # a global phase has a zero traceless log; an identity factor records it
+        return () if operator_norm(u - np.eye(n)) <= tol.unitary else (np.eye(n, dtype=complex),)
+    schedule.require_budget(1)
+    x, y = shoda_commutator(2j * np.pi * a)  # exp(2 pi i a) = u
+    x = x - (np.trace(x) / n) * np.eye(n)  # free recentering
+    triple = _scaled_triple(x, y, schedule)
+    return tuple(triple) * (schedule.trotter_steps * schedule.commutator_steps**2)
+
+
 def unitary_to_positive_factors(
     u, schedule: FactorizationSchedule = DEFAULT_SCHEDULE
 ) -> PositiveFactorization:
     """Factor a determinant-one unitary into positive definite matrices.
 
-    Pipeline: traceless logarithm -> single-commutator witness -> Hermitian
-    pair split -> product-formula stage over the scaled pairs -> three-factor
-    commutator blocks.  Raises DeterminantObstruction when det(u) is not 1
-    and BudgetExceeded when the predicted count overflows the schedule cap.
+    Pipeline: traceless logarithm -> one Hermitian commutator pair -> t * c^2
+    copies of a scaled three-factor block.  Raises DeterminantObstruction when
+    det(u) is not 1 and BudgetExceeded when the predicted count overflows the
+    schedule cap.
     """
     u = as_square_matrix(u, "u")
     n = u.shape[0]
-    tlog = traceless_unitary_log(u)  # validates unitarity and determinant
-    a = tlog.hermitian
-    if operator_norm(a) <= 1e-13:
-        factors = (np.eye(n, dtype=complex),)
-        error = operator_norm(u - np.eye(n))
-        return PositiveFactorization(
-            target=u, factors=factors, error=float(error),
-            method="unitary_commutator_pipeline", schedule=schedule,
-        )
-    c = 2j * np.pi * a  # skew-Hermitian, exp(c) = u
-    x0, y0 = shoda_commutator(c)
-    split = hermitian_pair_split(x0, y0)
-    pairs = split.pairs
-    schedule.require_budget(len(pairs))
-    t_steps = schedule.trotter_steps
-    c_steps = schedule.commutator_steps
-
-    triples = []
-    for x, y in pairs:
-        x = x - (np.trace(x) / n) * np.eye(n)  # free recentering
-        triples.append(_scaled_triple(x, y, t_steps, c_steps))
-
-    block_count = c_steps * c_steps
-    factors: list[np.ndarray] = []
-    for _ in range(t_steps):
-        for triple in triples:
-            factors.extend(triple * block_count)
-    factors_t = tuple(factors)
-    error = operator_norm(u - chain_product(factors_t, n))
+    factors = _unitary_factors(u, schedule) or (np.eye(n, dtype=complex),)
+    error = operator_norm(u - chain_product(factors, n))
     return PositiveFactorization(
-        target=u, factors=factors_t, error=float(error),
+        target=u, factors=factors, error=float(error),
         method="unitary_commutator_pipeline", schedule=schedule,
     )
 
@@ -262,34 +239,24 @@ def matrix_to_positive_factors(
 
     Positive definite inputs come back as themselves (single factor, zero
     error); otherwise the polar positive part is appended to the pipeline
-    factors of the unitary polar factor.
+    factors of the unitary polar factor.  Raises NotInvertible for a singular
+    x and IllConditioned when x is too ill-conditioned for the tolerance pack.
     """
     x = as_square_matrix(x, "x")
-    tol = tolerances()
     n = x.shape[0]
-    sv = np.linalg.svd(x, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= 1e-12 * sv[0]:
-        raise NotInvertible("matrix is singular to working precision")
-    scale = operator_norm(x)
-    if hermitian_defect(x) <= tol.hermitian * scale:
-        eigs = np.linalg.eigvalsh(hermitian_part(x))
-        if eigs[-1] > 0 and eigs[0] > 1e-12 * eigs[-1]:
-            return PositiveFactorization(
-                target=x, factors=(x.copy(),), error=0.0,
-                method="positive_definite", schedule=schedule,
-            )
+    parts = polar_decompose(x)  # validates invertibility
+    if is_positive_definite(x):
+        return PositiveFactorization(
+            target=x, factors=(x.copy(),), error=0.0,
+            method="positive_definite", schedule=schedule,
+        )
     det = complex(np.linalg.det(x))
-    if det.real <= 0 or abs(det.imag) > tol.determinant * abs(det):
+    if det.real <= 0 or abs(det.imag) > tolerances().determinant * abs(det):
         raise DeterminantObstruction(
             f"det = {det:.6g} is not real positive; "
             "no positive-definite factorization exists"
         )
-    parts = polar_decompose(x)
-    unit_part = unitary_to_positive_factors(parts.unitary, schedule)
-    if len(unit_part.factors) == 1 and unit_part.error <= tol.unitary:
-        factors = (parts.positive,)
-    else:
-        factors = unit_part.factors + (parts.positive,)
+    factors = _unitary_factors(parts.unitary, schedule) + (parts.positive,)
     error = operator_norm(x - chain_product(factors, n))
     return PositiveFactorization(
         target=x, factors=factors, error=float(error),
@@ -325,12 +292,3 @@ def direct_sum_factorization(blocks) -> PositiveFactorization:
         method="direct_sum", schedule=blocks[0].schedule,
     )
 
-
-def _require_positive_definite(p: np.ndarray, name: str) -> None:
-    tol = tolerances()
-    scale = operator_norm(p)
-    if hermitian_defect(p) > tol.hermitian * (scale if scale > 0 else 1.0):
-        raise ValueError(f"{name} must be Hermitian within tolerance")
-    eigs = np.linalg.eigvalsh(hermitian_part(p))
-    if eigs[0] <= 1e-12 * max(eigs[-1], 0.0) or eigs[0] <= 0:
-        raise ValueError(f"{name} must be positive definite")

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..config import tolerances
 from ..errors import InsufficientPoints
 
 __all__ = [
@@ -67,7 +68,7 @@ def eps_dense_correction(lambdas, eps: float) -> TorusCorrection:
     m, required = minimal_root_order(eps)
     if lam.size < required:
         raise InsufficientPoints(required=required, given=lam.size)
-    if lam.size and np.max(np.abs(np.abs(lam) - 1.0)) > 1e-8:
+    if lam.size and np.max(np.abs(np.abs(lam) - 1.0)) > 1e2 * tolerances().unitary:
         raise ValueError("input points must lie on the unit circle")
 
     arc = np.floor(np.mod(np.angle(lam), 2.0 * np.pi) / (2.0 * np.pi / m)).astype(int)

@@ -46,14 +46,13 @@ class FactorizationSchedule:
         """Closed-form factor count for a pipeline run over ``pairs`` pairs."""
         return self.trotter_steps * pairs * 3 * self.commutator_steps**2 + 1
 
-    def require_budget(self, pairs: int) -> int:
+    def require_budget(self, pairs: int) -> None:
         predicted = self.predicted_factors(pairs)
         if predicted > self.max_factors:
             raise BudgetExceeded(
                 f"schedule predicts {predicted} factors for {pairs} pair(s), "
                 f"cap is {self.max_factors}"
             )
-        return predicted
 
 
 DEFAULT_SCHEDULE = FactorizationSchedule()
@@ -185,7 +184,8 @@ def invariant_report(pf: PositiveFactorization) -> list[tuple[str, bool, str]]:
         )
     )
 
-    recomputed = pf.recomputed_error()
+    product = pf.product()
+    recomputed = operator_norm(pf.target - product)
     drift = abs(recomputed - pf.error)
     checks.append(
         (
@@ -195,7 +195,7 @@ def invariant_report(pf: PositiveFactorization) -> list[tuple[str, bool, str]]:
         )
     )
 
-    det = complex(np.linalg.det(pf.product()))
+    det = complex(np.linalg.det(product))
     mag = abs(det)
     det_ok = det.real > 0 and abs(det.imag) <= tol.determinant * (mag if mag > 0 else 1.0)
     checks.append(("determinant-positive", det_ok, f"det(product) = {det:.6g}"))

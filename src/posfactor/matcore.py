@@ -13,7 +13,7 @@ import numpy as np
 import scipy.linalg
 
 from .config import tolerances
-from .errors import BlockNotInvertible, DeterminantObstruction, NotInvertible
+from .errors import BlockNotInvertible, DeterminantObstruction, IllConditioned, NotInvertible
 
 __all__ = [
     "SpectralDecomposition",
@@ -23,6 +23,10 @@ __all__ = [
     "operator_norm",
     "hermitian_defect",
     "hermitian_part",
+    "is_hermitian",
+    "require_hermitian",
+    "is_positive_definite",
+    "require_invertible",
     "chain_product",
     "hermitian_eig",
     "normal_eig",
@@ -68,10 +72,44 @@ def hermitian_part(x: np.ndarray) -> np.ndarray:
     return (x + x.conj().T) / 2.0
 
 
-def _require_hermitian(x: np.ndarray, rel: float, name: str = "matrix") -> None:
+def is_hermitian(x: np.ndarray) -> bool:
+    """||x - x*|| is within the pack's relative Hermitian tolerance of ||x||."""
     scale = operator_norm(x)
-    if hermitian_defect(x) > rel * (scale if scale > 0 else 1.0):
+    return hermitian_defect(x) <= tolerances().hermitian * (scale if scale > 0 else 1.0)
+
+
+def require_hermitian(x: np.ndarray, name: str = "matrix") -> None:
+    """Raise ValueError unless :func:`is_hermitian` holds."""
+    if not is_hermitian(x):
         raise ValueError(f"{name} is not Hermitian within tolerance")
+
+
+def _clears_floor(smallest: float, largest: float) -> bool:
+    """Invertibility (singular values) or definiteness (eigenvalues) floor."""
+    return largest > 0 and smallest > tolerances().positivity * largest
+
+
+def is_positive_definite(p: np.ndarray) -> bool:
+    """Hermitian within tolerance, every eigenvalue above the positivity floor."""
+    if not is_hermitian(p):
+        return False
+    w = np.linalg.eigvalsh(hermitian_part(p))
+    return _clears_floor(w[0], w[-1])
+
+
+def require_invertible(x: np.ndarray, s: np.ndarray, name: str = "matrix") -> float:
+    """Condition number of x (descending singular values s) if it clears the floor.
+
+    Raises NotInvertible only for a zero singular value or an exactly zero
+    determinant; a merely ill-conditioned x raises IllConditioned.
+    """
+    if _clears_floor(s[-1], s[0]):
+        return float(s[0] / s[-1])
+    if s[-1] == 0.0 or np.linalg.det(x) == 0.0:
+        raise NotInvertible(f"{name} is singular")
+    raise IllConditioned(
+        f"{name} is too ill-conditioned for the tolerance pack (cond = {s[0] / s[-1]:.3e})"
+    )
 
 
 def _unitarity_defect(u: np.ndarray) -> float:
@@ -139,8 +177,7 @@ class TracelessLog:
 def hermitian_eig(h) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
     h = as_square_matrix(h, "h")
-    tol = tolerances()
-    _require_hermitian(h, tol.hermitian, "h")
+    require_hermitian(h, "h")
     w, v = np.linalg.eigh(hermitian_part(h))
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
 
@@ -168,8 +205,7 @@ def polar_decompose(x) -> PolarParts:
     """Left polar decomposition x = u p with u unitary and p = (x* x)^(1/2)."""
     x = as_square_matrix(x, "x")
     u_svd, s, vh = np.linalg.svd(x)
-    if s[0] == 0.0 or s[-1] <= 1e-12 * s[0]:
-        raise NotInvertible("matrix is singular to working precision")
+    require_invertible(x, s)
     unitary = u_svd @ vh
     positive = hermitian_part(vh.conj().T @ (s[:, None] * vh))
     return PolarParts(unitary=unitary, positive=positive)
@@ -188,13 +224,10 @@ def matrix_exp(x) -> np.ndarray:
     back to the general Pade evaluation.
     """
     x = as_square_matrix(x, "x")
-    tol = tolerances()
-    scale = operator_norm(x)
-    threshold = tol.hermitian * (scale if scale > 0 else 1.0)
-    if hermitian_defect(x) <= threshold:
+    if is_hermitian(x):
         w, v = np.linalg.eigh(hermitian_part(x))
         return hermitian_part((v * np.exp(w)) @ v.conj().T)
-    if hermitian_defect(1j * x) <= threshold:  # x = i h, h Hermitian
+    if is_hermitian(1j * x):  # x = i h, h Hermitian
         h = hermitian_part(-1j * x)
         w, v = np.linalg.eigh(h)
         return (v * np.exp(1j * w)) @ v.conj().T
@@ -204,11 +237,10 @@ def matrix_exp(x) -> np.ndarray:
 def positive_log(p) -> np.ndarray:
     """Hermitian logarithm of a positive definite matrix."""
     p = as_square_matrix(p, "p")
-    tol = tolerances()
-    _require_hermitian(p, tol.hermitian, "p")
+    require_hermitian(p, "p")
     w, v = np.linalg.eigh(hermitian_part(p))
-    if w[-1] <= 0 or w[0] <= 1e-12 * w[-1]:
-        raise ValueError("matrix is not positive definite within tolerance")
+    if not _clears_floor(w[0], w[-1]):
+        raise ValueError("p is not positive definite within tolerance")
     return hermitian_part((v * np.log(w)) @ v.conj().T)
 
 
@@ -265,7 +297,7 @@ def block_invertible_decomposition(x, k: int) -> tuple[np.ndarray, np.ndarray, n
     a, b = x[:m, :m], x[:m, m:]
     c, d = x[m:, :m], x[m:, m:]
     sd = np.linalg.svd(d, compute_uv=False)
-    if sd[0] == 0.0 or sd[-1] <= 1e-12 * sd[0]:
+    if not _clears_floor(sd[-1], sd[0]):
         raise BlockNotInvertible(f"trailing {k}x{k} block is singular to working precision")
     b_dinv = np.linalg.solve(d.conj().T, b.conj().T).conj().T  # b d^{-1}
     dinv_c = np.linalg.solve(d, c)
@@ -282,16 +314,15 @@ def block_invertible_decomposition(x, k: int) -> tuple[np.ndarray, np.ndarray, n
 def approximate_invertible(x, eps: float) -> np.ndarray:
     """Nearest-in-spirit invertible neighbour within distance eps.
 
-    Invertible inputs (smallest singular value above the package floor) come
-    back unchanged; otherwise singular values are floored at eps/2 in the
-    SVD frame.
+    Inputs that clear the pack's conditioning floor come back unchanged;
+    otherwise singular values are floored at eps/2 in the SVD frame.
     """
     x = as_square_matrix(x, "x")
     eps = float(eps)
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     u, s, vh = np.linalg.svd(x)
-    if s[0] > 0.0 and s[-1] > 1e-12 * s[0]:
+    if _clears_floor(s[-1], s[0]):
         return x
     floored = np.maximum(s, eps / 2.0)
     return (u * floored) @ vh

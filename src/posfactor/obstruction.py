@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .config import tolerances
 from .errors import BudgetExceeded
@@ -20,10 +19,10 @@ from .factorlab.types import FactorizationSchedule, PositiveFactorization, invar
 from .matcore import (
     as_square_matrix,
     chain_product,
-    hermitian_defect,
     hermitian_part,
     operator_norm,
     positive_log,
+    require_hermitian,
 )
 
 __all__ = [
@@ -134,11 +133,12 @@ def unitary_product_trace_identity(factors, delta: float | None = None) -> Trace
 
     For positive definite b_k with ||P* P - 1|| <= delta < 1 (P the ordered
     product), |sum tr log b_k| = |log|det P|| <= n/2 |log(1 - delta)|
-    <= n delta / (2 (1 - delta)).  A 1e-10 absolute floor absorbs the
+    <= n delta / (2 (1 - delta)).  An absolute floor tol.trace absorbs the
     trace-log roundoff as delta -> 0.  Raises when the product is farther
     from unitary than delta (delta >= 1 means no bound exists at all), or
     (numerically impossible for valid input) when the bound itself fails.
     """
+    tol = tolerances()
     mats = [as_square_matrix(f, "factor") for f in factors]
     if not mats:
         raise ValueError("need at least one factor")
@@ -149,7 +149,7 @@ def unitary_product_trace_identity(factors, delta: float | None = None) -> Trace
     if delta is None:
         delta = defect
     delta = float(delta)
-    if defect > delta * (1.0 + 1e-12) + 1e-15:
+    if defect > delta * (1.0 + tol.exact) + tol.exact / 1000:
         raise ValueError(
             f"product is not unitary within delta: defect {defect:.3e} > {delta:.3e}"
         )
@@ -158,7 +158,7 @@ def unitary_product_trace_identity(factors, delta: float | None = None) -> Trace
             f"product is not unitary within any admissible delta < 1 (delta {delta:.3e})"
         )
     s = float(sum(np.trace(l).real for l in logs))
-    bound = n * delta / (2.0 * (1.0 - delta)) + 1e-10
+    bound = n * delta / (2.0 * (1.0 - delta)) + tol.trace
     record = TraceIdentityRecord(
         s=s, delta=delta, defect=float(defect), bound=float(bound),
         det=complex(np.linalg.det(product)),
@@ -173,9 +173,9 @@ def unitary_product_trace_identity(factors, delta: float | None = None) -> Trace
 def det_nonneg_check(factors) -> tuple[bool, complex]:
     """Determinant certificate for a product of positive semidefinite factors.
 
-    Returns (ok, det): ok when the imaginary part is negligible relative to
-    |det| and the real part is not below -1e-8 times the product of factor
-    norms.
+    Returns (ok, det): ok when the imaginary part is within the pack's
+    determinant tolerance of |det| and the real part is not below minus that
+    tolerance times the product of factor norms.
     """
     tol = tolerances()
     mats = [as_square_matrix(f, "factor") for f in factors]
@@ -184,9 +184,8 @@ def det_nonneg_check(factors) -> tuple[bool, complex]:
     n = mats[0].shape[0]
     norm_product = 1.0
     for f in mats:
+        require_hermitian(f, "factor")
         scale = operator_norm(f)
-        if hermitian_defect(f) > tol.hermitian * (scale if scale > 0 else 1.0):
-            raise ValueError("factors must be Hermitian within tolerance")
         eigs = np.linalg.eigvalsh(hermitian_part(f))
         if eigs[0] < -tol.hermitian * max(scale, 1.0):
             raise ValueError("factors must be positive semidefinite")
@@ -220,6 +219,8 @@ def _det_constrained_distance(lam: complex, n: int) -> float:
     construction) and refines with SLSQP under the determinant constraints;
     only verified-feasible iterates are reported.
     """
+    import scipy.optimize  # lazy: the oracle is its only user
+    tol = tolerances()
     eye = np.eye(n, dtype=complex)
     target = lam * eye
     theta = np.angle(lam)
@@ -254,8 +255,8 @@ def _det_constrained_distance(lam: complex, n: int) -> float:
         for z in (result.x, z0):
             x_mat = unpack(np.asarray(z, dtype=float))
             det = complex(np.linalg.det(x_mat))
-            feasible = abs(det.imag) <= 1e-9 * max(abs(det), 1.0) and det.real >= -1e-12
-            if feasible:
+            imag_ok = abs(det.imag) <= tol.determinant / 10 * max(abs(det), 1.0)
+            if imag_ok and det.real >= -tol.exact:
                 best = min(best, operator_norm(x_mat - target))
     return float(best)
 
@@ -274,12 +275,12 @@ def scalar_obstruction_distance(
     n = int(n)
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    if abs(abs(lam) - 1.0) > 1e-10:
+    tol = tolerances()
+    if abs(abs(lam) - 1.0) > tol.unitary:
         raise ValueError(f"lambda must be unimodular, got |lambda| = {abs(lam)}")
     budgets = tuple(budgets)
     if not budgets:
         raise ValueError("need at least one budget")
-    tol = tolerances()
     in_group = abs(lam**n - 1.0) <= tol.reconstruction
 
     if not in_group:
@@ -342,14 +343,15 @@ def verify_factorization(pf: PositiveFactorization) -> list[tuple[str, bool, str
     Extends the structural checks with the trace-log certificate whenever the
     target itself is (numerically) unitary.
     """
+    tol = tolerances()
     checks = invariant_report(pf)
     n = pf.n
     target_defect = operator_norm(pf.target.conj().T @ pf.target - np.eye(n))
-    if target_defect <= 1e-6:
+    if target_defect <= 1e4 * tol.unitary:
         product = pf.product()
         defect = operator_norm(product.conj().T @ product - np.eye(n))
         try:
-            record = unitary_product_trace_identity(pf.factors, delta=defect * 1.01 + 1e-14)
+            record = unitary_product_trace_identity(pf.factors, delta=defect * 1.01 + tol.exact / 100)
             checks.append(
                 (
                     "trace-identity",

@@ -187,3 +187,18 @@ def test_tolerance_env_var_must_be_positive(target_file):
     env = dict(os.environ, POSFACTOR_TOL="-1")
     result = run_cli("factor", "--target", str(target_file), env=env)
     assert result.returncode == 1
+
+
+def test_factor_ill_conditioned_exits_1_with_condition_number(tmp_path):
+    path = tmp_path / "ill.json"
+    # det = 1 exactly, so this is a precision limit, not an obstruction
+    path.write_text(json.dumps(matrix_to_wire(np.array([[1.0, 1e6], [0.0, 1.0]]))))
+    result = run_cli("factor", "--target", str(path))
+    assert result.returncode == 1
+    assert b"cond" in result.stderr
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    code = "import sys, posfactor; sys.exit('scipy.optimize' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=300)
+    assert result.returncode == 0, result.stderr

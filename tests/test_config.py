@@ -6,7 +6,6 @@ from posfactor.config import DEFAULT_TOLERANCES, Tolerances, tolerances
 def test_default_pack_values():
     tol = DEFAULT_TOLERANCES
     assert tol.reconstruction == 1e-10
-    assert tol.exp_log == 1e-9
     assert tol.determinant == 1e-8
     assert tol.exact == 1e-12
 

@@ -95,15 +95,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="posfactor", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, seed=True, fmt=True, out=True):
-        if seed:
-            p.add_argument("--seed", type=int, default=0, help="64-bit stream seed")
-        if fmt:
-            p.add_argument(
-                "--format", choices=("csv", "json"), default="csv", help="output format"
-            )
-        if out:
-            p.add_argument("--out", default=None, help="output path (default: stdout)")
+    def add_common(p):
+        p.add_argument("--seed", type=int, default=0, help="64-bit stream seed")
+        p.add_argument(
+            "--format", choices=("csv", "json"), default="csv", help="output format"
+        )
+        p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     p_factor = sub.add_parser("factor", help="factor a matrix into positive factors")
     p_factor.add_argument("--target", required=True, help="path to a matrix JSON file")
@@ -217,8 +214,6 @@ def _cmd_sweep(args) -> int:
         seed=args.seed,
         dims=args.dim,
         steps=args.n,
-        fmt=args.format,
-        out=args.out,
         timings=args.timings,
     )
     runner = run_trotter_sweep if args.kind == "trotter" else run_commutator_sweep
@@ -266,8 +261,6 @@ def _cmd_obstruction(args) -> int:
         grid=args.grid,
         eps=args.eps,
         schedules=_budget_ladder(args),
-        fmt=args.format,
-        out=args.out,
         allow_large=args.allow_large,
     )
     rows = run_obstruction_landscape(config)
@@ -292,7 +285,7 @@ def _cmd_obstruction(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    config = ExperimentConfig(seed=args.seed, eps_values=args.eps, fmt=args.format, out=args.out)
+    config = ExperimentConfig(seed=args.seed, eps_values=args.eps)
     rows = run_density_check(config)
     if args.format == "csv":
         header = ["eps", "m", "N", "dense", "product_deviation", "passed"]

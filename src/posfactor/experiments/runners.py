@@ -52,8 +52,6 @@ class ExperimentConfig:
     eps: float = 0.25
     eps_values: tuple[float, ...] = (1.0, 0.5, 0.25)
     schedules: tuple[FactorizationSchedule, ...] = DEFAULT_BUDGET_LADDER
-    fmt: str = "csv"
-    out: str | None = None
     timings: bool = False
     allow_large: bool = False
 
@@ -158,14 +156,19 @@ def run_commutator_sweep(config: ExperimentConfig, pair_factory=None) -> SweepRe
 
 
 def run_obstruction_landscape(config: ExperimentConfig) -> list[dict]:
-    """Scalar obstruction reports over a phase grid, as sorted row dicts."""
+    """Scalar obstruction reports over a phase grid, as sorted row dicts.
+
+    The accepted set {lambda : best_distance < eps} estimates which scalars
+    admit approximate positive factorizations; it should match the n-th
+    roots of unity.
+    """
     n = int(config.n)
     if n > 4 and not config.allow_large:
         raise ValueError(
             f"landscape at n = {n} > 4 is expensive; pass allow_large to override"
         )
     grid = config.grid if config.grid is not None else 4 * n
-    reports = estimate_group_G(n, grid=grid, eps=config.eps, budgets=config.schedules)
+    reports = estimate_group_G(n, grid=grid, budgets=config.schedules)
     rows = []
     for k, report in enumerate(reports):
         overflowed = any(err is None for _, err in report.ladder) and report.in_group

@@ -15,8 +15,8 @@ import scipy.linalg
 from ..config import tolerances
 from ..errors import DeterminantObstruction
 from ..matcore import (
+    _traceless_log,
     as_square_matrix,
-    chain_product,
     hermitian_defect,
     hermitian_part,
     is_positive_definite,
@@ -25,7 +25,6 @@ from ..matcore import (
     polar_decompose,
     require_hermitian,
     require_invertible,
-    traceless_unitary_log,
 )
 from .commutators import shoda_commutator
 from .types import (
@@ -56,7 +55,6 @@ def two_positive_split(x, s) -> PositiveFactorization:
     x = as_square_matrix(x, "x")
     s = as_square_matrix(s, "s")
     tol = tolerances()
-    n = x.shape[0]
     if s.shape != x.shape:
         raise ValueError("x and s must share one shape")
     cond = require_invertible(s, np.linalg.svd(s, compute_uv=False), "witness s")
@@ -71,14 +69,10 @@ def two_positive_split(x, s) -> PositiveFactorization:
         raise ValueError("witness s does not expose a positive form for x")
     f1 = hermitian_part(s @ s.conj().T)
     f2 = hermitian_part(s_inv.conj().T @ d @ s_inv)
-    factors = (f1, f2)
-    error = operator_norm(x - chain_product(factors, n))
-    if error > tol.reconstruction * scale * cond:
+    pf = PositiveFactorization.measured(x, (f1, f2), "two_positive_split", TRIVIAL_SCHEDULE)
+    if pf.error > tol.reconstruction * scale * cond:
         raise ValueError("witness too ill-conditioned to reach the target residual")
-    return PositiveFactorization(
-        target=x, factors=factors, error=float(error),
-        method="two_positive_split", schedule=TRIVIAL_SCHEDULE,
-    )
+    return pf
 
 
 def conjugate_positive_as_two(v, p) -> PositiveFactorization:
@@ -93,12 +87,9 @@ def conjugate_positive_as_two(v, p) -> PositiveFactorization:
         raise ValueError("v and p must have matching shapes")
     if not is_positive_definite(p):
         raise ValueError("p must be positive definite within tolerance")
-    factors = _conjugated_pair(v, p)
-    target = v @ p @ np.linalg.inv(v)
-    error = operator_norm(target - chain_product(factors, v.shape[0]))
-    return PositiveFactorization(
-        target=target, factors=factors, error=float(error),
-        method="conjugate_positive_as_two", schedule=TRIVIAL_SCHEDULE,
+    return PositiveFactorization.measured(
+        v @ p @ np.linalg.inv(v), _conjugated_pair(v, p),
+        "conjugate_positive_as_two", TRIVIAL_SCHEDULE,
     )
 
 
@@ -160,18 +151,13 @@ def commutator_exp_factors(a, b, n: int) -> PositiveFactorization:
     b = hermitian_part(b)
     target = matrix_exp(a @ b - b @ a)
     triple = _block_triple(a / n, b / n)
-    factors = tuple(triple) * (n * n)
-    dim = a.shape[0]
-    error = operator_norm(target - chain_product(factors, dim))
     schedule = FactorizationSchedule(
         trotter_steps=1,
         commutator_steps=n,
         max_factors=max(DEFAULT_SCHEDULE.max_factors, 3 * n * n + 1),
     )
-    return PositiveFactorization(
-        target=target, factors=factors, error=float(error),
-        method="commutator_exp", schedule=schedule,
-    )
+    factors = tuple(triple) * (n * n)
+    return PositiveFactorization.measured(target, factors, "commutator_exp", schedule)
 
 
 def _scaled_triple(x: np.ndarray, y: np.ndarray, schedule: FactorizationSchedule):
@@ -197,11 +183,16 @@ def _scaled_triple(x: np.ndarray, y: np.ndarray, schedule: FactorizationSchedule
     return best_triple
 
 
-def _unitary_factors(u: np.ndarray, schedule: FactorizationSchedule) -> tuple[np.ndarray, ...]:
-    """Factors of a det-one unitary, () for the identity, from its one Hermitian pair."""
+def _unitary_factors(
+    u: np.ndarray, schedule: FactorizationSchedule, det_tol: float
+) -> tuple[np.ndarray, ...]:
+    """Factors of a det-one unitary, () for the identity, from its one Hermitian pair.
+
+    det_tol bounds the determinant defect of u that rounding explains.
+    """
     tol = tolerances()
     n = u.shape[0]
-    a = traceless_unitary_log(u).hermitian  # validates unitarity and determinant
+    a = _traceless_log(u, det_tol).hermitian  # validates unitarity and determinant
     if operator_norm(a) <= tol.exact / 10:
         # a global phase has a zero traceless log; an identity factor records it
         return () if operator_norm(u - np.eye(n)) <= tol.unitary else (np.eye(n, dtype=complex),)
@@ -223,13 +214,9 @@ def unitary_to_positive_factors(
     schedule cap.
     """
     u = as_square_matrix(u, "u")
-    n = u.shape[0]
-    factors = _unitary_factors(u, schedule) or (np.eye(n, dtype=complex),)
-    error = operator_norm(u - chain_product(factors, n))
-    return PositiveFactorization(
-        target=u, factors=factors, error=float(error),
-        method="unitary_commutator_pipeline", schedule=schedule,
-    )
+    identity = (np.eye(u.shape[0], dtype=complex),)
+    factors = _unitary_factors(u, schedule, tolerances().determinant) or identity
+    return PositiveFactorization.measured(u, factors, "unitary_commutator_pipeline", schedule)
 
 
 def matrix_to_positive_factors(
@@ -240,28 +227,25 @@ def matrix_to_positive_factors(
     Positive definite inputs come back as themselves (single factor, zero
     error); otherwise the polar positive part is appended to the pipeline
     factors of the unitary polar factor.  Raises NotInvertible for a singular
-    x and IllConditioned when x is too ill-conditioned for the tolerance pack.
+    x, IllConditioned when x is too ill-conditioned for the tolerance pack, and
+    DeterminantObstruction when det(x) is not real positive beyond the phase
+    defect that rounding explains at x's conditioning.
     """
     x = as_square_matrix(x, "x")
     n = x.shape[0]
     parts = polar_decompose(x)  # validates invertibility
     if is_positive_definite(x):
-        return PositiveFactorization(
-            target=x, factors=(x.copy(),), error=0.0,
-            method="positive_definite", schedule=schedule,
-        )
+        return PositiveFactorization.measured(x, (x.copy(),), "positive_definite", schedule)
     det = complex(np.linalg.det(x))
-    if det.real <= 0 or abs(det.imag) > tolerances().determinant * abs(det):
+    # det(x)'s phase is accurate to about n eps cond(x), and the polar unitary inherits that
+    det_tol = max(tolerances().determinant, n * np.finfo(float).eps * parts.cond)
+    if det.real <= 0 or abs(det.imag) > det_tol * abs(det):
         raise DeterminantObstruction(
             f"det = {det:.6g} is not real positive; "
             "no positive-definite factorization exists"
         )
-    factors = _unitary_factors(parts.unitary, schedule) + (parts.positive,)
-    error = operator_norm(x - chain_product(factors, n))
-    return PositiveFactorization(
-        target=x, factors=factors, error=float(error),
-        method="polar_pipeline", schedule=schedule,
-    )
+    factors = _unitary_factors(parts.unitary, schedule, det_tol) + (parts.positive,)
+    return PositiveFactorization.measured(x, factors, "polar_pipeline", schedule)
 
 
 def direct_sum_factorization(blocks) -> PositiveFactorization:
@@ -285,10 +269,5 @@ def direct_sum_factorization(blocks) -> PositiveFactorization:
         ]
         factors.append(scipy.linalg.block_diag(*parts).astype(complex))
     target = scipy.linalg.block_diag(*[b.target for b in blocks]).astype(complex)
-    factors_t = tuple(factors)
-    error = operator_norm(target - chain_product(factors_t, sum(dims)))
-    return PositiveFactorization(
-        target=target, factors=factors_t, error=float(error),
-        method="direct_sum", schedule=blocks[0].schedule,
-    )
+    return PositiveFactorization.measured(target, tuple(factors), "direct_sum", blocks[0].schedule)
 

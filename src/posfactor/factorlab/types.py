@@ -1,4 +1,10 @@
-"""Result types for positive-definite factorizations and commutator splits."""
+"""Result types for positive-definite factorizations and commutator splits.
+
+This module also owns certification: what a factorization's error is
+(``||target - chain_product(factors)||``, one expression for every
+constructor and every re-check) and the one pass over a factor list that
+every certificate reads, here and in :mod:`posfactor.obstruction`.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +16,9 @@ from ..config import tolerances
 from ..errors import BudgetExceeded
 from ..matcore import (
     chain_product,
+    _clears_floor,
     hermitian_defect,
+    hermitian_part,
     matrix_from_wire,
     matrix_to_wire,
     operator_norm,
@@ -66,6 +74,7 @@ class PositiveFactorization:
     ``error`` is the operator-norm residual ``||target - product||`` where the
     product is always evaluated through :func:`posfactor.matcore.chain_product`
     (the canonical association), so re-verification reproduces it exactly.
+    Constructors build through :meth:`measured`, which evaluates it.
     """
 
     target: np.ndarray
@@ -73,6 +82,13 @@ class PositiveFactorization:
     error: float
     method: str
     schedule: FactorizationSchedule = field(default=DEFAULT_SCHEDULE)
+
+    @classmethod
+    def measured(cls, target, factors, method, schedule) -> PositiveFactorization:
+        """The factorization of ``target`` by ``factors``, its error evaluated here."""
+        product = chain_product(factors, target.shape[0])
+        return cls(target=target, factors=factors, error=_residual(target, product),
+                   method=method, schedule=schedule)
 
     @property
     def n(self) -> int:
@@ -82,7 +98,12 @@ class PositiveFactorization:
         return chain_product(self.factors, self.n)
 
     def recomputed_error(self) -> float:
-        return operator_norm(self.target - self.product())
+        return _residual(self.target, self.product())
+
+
+def _residual(target: np.ndarray, product: np.ndarray) -> float:
+    """A factorization's error: the operator norm of target minus product."""
+    return operator_norm(target - product)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +170,60 @@ def factorization_from_wire(obj) -> PositiveFactorization:
 
 
 # ---------------------------------------------------------------------------
-# invariant checks
+# certification
+
+
+@dataclass(frozen=True, eq=False)
+class _FactorPass:
+    """What one pass over a factor list and its one product establish."""
+
+    worst_hermitian: float     # largest ||f - f*|| / ||f||
+    min_eigenvalue: float      # smallest eigenvalue of any factor's Hermitian part
+    min_relative_eigenvalue: float  # the same, each over max(||f||, 1)
+    norm_product: float        # product of the factor norms
+    log_det: float | None      # summed log-eigenvalues; None unless every factor is definite
+    product: np.ndarray        # chain_product of the factors
+
+
+def _factor_pass(factors, n: int) -> _FactorPass:
+    """Check each factor once and multiply the product once."""
+    worst_herm = 0.0
+    min_eig = min_rel = np.inf
+    norm_product = 1.0
+    log_det = 0.0
+    for f in factors:
+        scale = operator_norm(f)
+        worst_herm = max(worst_herm, hermitian_defect(f) / (scale if scale > 0 else 1.0))
+        eigs = np.linalg.eigvalsh(hermitian_part(f))
+        low = float(eigs[0])
+        min_eig = min(min_eig, low)
+        min_rel = min(min_rel, low / max(scale, 1.0))
+        norm_product *= scale
+        definite = log_det is not None and _clears_floor(low, eigs[-1])
+        log_det = log_det + float(np.sum(np.log(eigs))) if definite else None
+    return _FactorPass(
+        worst_hermitian=worst_herm, min_eigenvalue=min_eig, min_relative_eigenvalue=min_rel,
+        norm_product=norm_product, log_det=log_det, product=chain_product(factors, n),
+    )
+
+
+def _invariant_checks(pf: PositiveFactorization, fp: _FactorPass) -> list[tuple[str, bool, str]]:
+    """The structural checks of ``pf``, read from its factor pass ``fp``."""
+    tol = tolerances()
+    recomputed = _residual(pf.target, fp.product)
+    det = complex(np.linalg.det(fp.product))
+    det_ok = det.real > 0 and abs(det.imag) <= tol.determinant * (abs(det) or 1.0)
+    count, cap = len(pf.factors), pf.schedule.max_factors
+    return [
+        ("factors-hermitian", fp.worst_hermitian <= tol.hermitian,
+         f"worst relative defect {fp.worst_hermitian:.3e}"),
+        ("factors-positive", bool(fp.min_eigenvalue > 0.0),
+         f"smallest factor eigenvalue {fp.min_eigenvalue:.6e}"),
+        ("error-recompute", abs(recomputed - pf.error) <= tol.exact,
+         f"stored {pf.error!r}, recomputed {recomputed!r}"),
+        ("determinant-positive", det_ok, f"det(product) = {det:.6g}"),
+        ("factor-count", count <= cap, f"{count} factors, cap {cap}"),
+    ]
 
 
 def invariant_report(pf: PositiveFactorization) -> list[tuple[str, bool, str]]:
@@ -158,54 +232,4 @@ def invariant_report(pf: PositiveFactorization) -> list[tuple[str, bool, str]]:
     Returns (name, passed, detail) triples; no exception is raised so a
     verifier can report every failure at once.
     """
-    tol = tolerances()
-    checks: list[tuple[str, bool, str]] = []
-
-    worst_herm = 0.0
-    worst_min_eig = np.inf
-    for f in pf.factors:
-        scale = operator_norm(f)
-        defect = hermitian_defect(f) / (scale if scale > 0 else 1.0)
-        worst_herm = max(worst_herm, defect)
-        eigs = np.linalg.eigvalsh((f + f.conj().T) / 2.0)
-        worst_min_eig = min(worst_min_eig, float(eigs[0]))
-    checks.append(
-        (
-            "factors-hermitian",
-            worst_herm <= tol.hermitian,
-            f"worst relative defect {worst_herm:.3e}",
-        )
-    )
-    checks.append(
-        (
-            "factors-positive",
-            bool(worst_min_eig > 0.0),
-            f"smallest factor eigenvalue {worst_min_eig:.6e}",
-        )
-    )
-
-    product = pf.product()
-    recomputed = operator_norm(pf.target - product)
-    drift = abs(recomputed - pf.error)
-    checks.append(
-        (
-            "error-recompute",
-            drift <= tol.exact,
-            f"stored {pf.error!r}, recomputed {recomputed!r}",
-        )
-    )
-
-    det = complex(np.linalg.det(product))
-    mag = abs(det)
-    det_ok = det.real > 0 and abs(det.imag) <= tol.determinant * (mag if mag > 0 else 1.0)
-    checks.append(("determinant-positive", det_ok, f"det(product) = {det:.6g}"))
-
-    count = len(pf.factors)
-    checks.append(
-        (
-            "factor-count",
-            count <= pf.schedule.max_factors,
-            f"{count} factors, cap {pf.schedule.max_factors}",
-        )
-    )
-    return checks
+    return _invariant_checks(pf, _factor_pass(pf.factors, pf.n))

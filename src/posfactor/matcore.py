@@ -160,10 +160,11 @@ class SpectralDecomposition:
 
 @dataclass(frozen=True)
 class PolarParts:
-    """Polar factors: ``unitary @ positive`` recovers the input."""
+    """Polar factors: ``unitary @ positive`` recovers the input of condition ``cond``."""
 
     unitary: np.ndarray
     positive: np.ndarray
+    cond: float
 
 
 @dataclass(frozen=True)
@@ -205,10 +206,10 @@ def polar_decompose(x) -> PolarParts:
     """Left polar decomposition x = u p with u unitary and p = (x* x)^(1/2)."""
     x = as_square_matrix(x, "x")
     u_svd, s, vh = np.linalg.svd(x)
-    require_invertible(x, s)
+    cond = require_invertible(x, s)
     unitary = u_svd @ vh
     positive = hermitian_part(vh.conj().T @ (s[:, None] * vh))
-    return PolarParts(unitary=unitary, positive=positive)
+    return PolarParts(unitary=unitary, positive=positive, cond=cond)
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +254,18 @@ def traceless_unitary_log(u) -> TracelessLog:
     phase deficit (nonzero only when det u is merely close to 1) is spread
     evenly so the trace vanishes exactly.
     """
+    return _traceless_log(u, tolerances().determinant)
+
+
+def _traceless_log(u, det_tol: float) -> TracelessLog:
+    """:func:`traceless_unitary_log` with ``|det u - 1| <= det_tol`` as the determinant test."""
     u = as_square_matrix(u, "u")
     tol = tolerances()
     n = u.shape[0]
     if _unitarity_defect(u) > tol.unitary:
         raise ValueError("input is not unitary within tolerance")
     det = complex(np.linalg.det(u))
-    if abs(det - 1.0) > tol.determinant:
+    if abs(det - 1.0) > det_tol:
         raise DeterminantObstruction(
             f"det(u) = {det:.6g} is not 1; no traceless logarithm exists"
         )

@@ -3,7 +3,10 @@
 The determinant of a product of positive (semi)definite matrices is real and
 nonnegative; on unitary products the summed trace-logarithms vanish.  Both
 facts become checkable certificates here, and the scalar landscape routine
-measures how far unimodular scalars sit from the factorizable set.
+measures how far unimodular scalars sit from the factorizable set.  The
+certificates read the one factor pass of :mod:`posfactor.factorlab.types`,
+which owns certification; none of them decomposes a factor or multiplies the
+product itself.
 """
 
 from __future__ import annotations
@@ -15,15 +18,14 @@ import numpy as np
 from .config import tolerances
 from .errors import BudgetExceeded
 from .factorlab.factorization import matrix_to_positive_factors
-from .factorlab.types import FactorizationSchedule, PositiveFactorization, invariant_report
-from .matcore import (
-    as_square_matrix,
-    chain_product,
-    hermitian_part,
-    operator_norm,
-    positive_log,
-    require_hermitian,
+from .factorlab.types import (
+    FactorizationSchedule,
+    PositiveFactorization,
+    _factor_pass,
+    _FactorPass,
+    _invariant_checks,
 )
+from .matcore import as_square_matrix, operator_norm
 
 __all__ = [
     "TraceFunctional",
@@ -128,46 +130,52 @@ class TraceIdentityRecord:
     det: complex             # determinant of the product
 
 
+def _checked_factor_pass(factors) -> _FactorPass:
+    """Factor pass over raw input, each factor validated as a square matrix."""
+    mats = [as_square_matrix(f, "factor") for f in factors]
+    if not mats:
+        raise ValueError("need at least one factor")
+    return _factor_pass(mats, mats[0].shape[0])
+
+
+def _trace_identity(fp: _FactorPass, delta: float | None) -> TraceIdentityRecord:
+    """The trace-identity certificate of a factor pass; raises ValueError on failure."""
+    tol = tolerances()
+    if fp.worst_hermitian > tol.hermitian:
+        raise ValueError("factor is not Hermitian within tolerance")
+    if fp.log_det is None:
+        raise ValueError("factor is not positive definite within tolerance")
+    n = fp.product.shape[0]
+    defect = operator_norm(fp.product.conj().T @ fp.product - np.eye(n))
+    delta = defect if delta is None else float(delta)
+    if defect > delta * (1.0 + tol.exact) + tol.exact / 1000:
+        raise ValueError(f"product is not unitary within delta: defect {defect:.3e} > {delta:.3e}")
+    if delta >= 1.0:
+        raise ValueError(
+            f"product is not unitary within any admissible delta < 1 (delta {delta:.3e})"
+        )
+    s = fp.log_det
+    bound = n * delta / (2.0 * (1.0 - delta)) + tol.trace
+    if abs(s) > bound:
+        raise ValueError(f"trace identity violated: |s| = {abs(s):.3e} exceeds bound {bound:.3e}")
+    return TraceIdentityRecord(
+        s=s, delta=delta, defect=defect, bound=bound, det=complex(np.linalg.det(fp.product)),
+    )
+
+
 def unitary_product_trace_identity(factors, delta: float | None = None) -> TraceIdentityRecord:
     """Check sum tr log b_k against the unitary-product bound.
 
     For positive definite b_k with ||P* P - 1|| <= delta < 1 (P the ordered
     product), |sum tr log b_k| = |log|det P|| <= n/2 |log(1 - delta)|
-    <= n delta / (2 (1 - delta)).  An absolute floor tol.trace absorbs the
-    trace-log roundoff as delta -> 0.  Raises when the product is farther
-    from unitary than delta (delta >= 1 means no bound exists at all), or
-    (numerically impossible for valid input) when the bound itself fails.
+    <= n delta / (2 (1 - delta)).  The sum is taken over the factors'
+    log-eigenvalues.  An absolute floor tol.trace absorbs the trace-log
+    roundoff as delta -> 0.  Raises for a factor that is not Hermitian or not
+    positive definite, when the product is farther from unitary than delta
+    (delta >= 1 means no bound exists at all), or (numerically impossible for
+    valid input) when the bound itself fails.
     """
-    tol = tolerances()
-    mats = [as_square_matrix(f, "factor") for f in factors]
-    if not mats:
-        raise ValueError("need at least one factor")
-    n = mats[0].shape[0]
-    logs = [positive_log(f) for f in mats]  # validates positive definiteness
-    product = chain_product(mats, n)
-    defect = operator_norm(product.conj().T @ product - np.eye(n))
-    if delta is None:
-        delta = defect
-    delta = float(delta)
-    if defect > delta * (1.0 + tol.exact) + tol.exact / 1000:
-        raise ValueError(
-            f"product is not unitary within delta: defect {defect:.3e} > {delta:.3e}"
-        )
-    if delta >= 1.0:
-        raise ValueError(
-            f"product is not unitary within any admissible delta < 1 (delta {delta:.3e})"
-        )
-    s = float(sum(np.trace(l).real for l in logs))
-    bound = n * delta / (2.0 * (1.0 - delta)) + tol.trace
-    record = TraceIdentityRecord(
-        s=s, delta=delta, defect=float(defect), bound=float(bound),
-        det=complex(np.linalg.det(product)),
-    )
-    if abs(s) > bound:
-        raise ValueError(
-            f"trace identity violated: |s| = {abs(s):.3e} exceeds bound {bound:.3e}"
-        )
-    return record
+    return _trace_identity(_checked_factor_pass(factors), delta)
 
 
 def det_nonneg_check(factors) -> tuple[bool, complex]:
@@ -178,21 +186,14 @@ def det_nonneg_check(factors) -> tuple[bool, complex]:
     tolerance times the product of factor norms.
     """
     tol = tolerances()
-    mats = [as_square_matrix(f, "factor") for f in factors]
-    if not mats:
-        raise ValueError("need at least one factor")
-    n = mats[0].shape[0]
-    norm_product = 1.0
-    for f in mats:
-        require_hermitian(f, "factor")
-        scale = operator_norm(f)
-        eigs = np.linalg.eigvalsh(hermitian_part(f))
-        if eigs[0] < -tol.hermitian * max(scale, 1.0):
-            raise ValueError("factors must be positive semidefinite")
-        norm_product *= max(scale, 0.0)
-    det = complex(np.linalg.det(chain_product(mats, n)))
+    fp = _checked_factor_pass(factors)
+    if fp.worst_hermitian > tol.hermitian:
+        raise ValueError("factor is not Hermitian within tolerance")
+    if fp.min_relative_eigenvalue < -tol.hermitian:
+        raise ValueError("factors must be positive semidefinite")
+    det = complex(np.linalg.det(fp.product))
     imag_ok = abs(det.imag) <= tol.determinant * abs(det)
-    real_ok = det.real >= -tol.determinant * norm_product
+    real_ok = det.real >= -tol.determinant * fp.norm_product
     return bool(imag_ok and real_ok), det
 
 
@@ -310,14 +311,9 @@ def scalar_obstruction_distance(
 
 
 def estimate_group_G(
-    n: int, grid: int | None = None, eps: float = 0.25, budgets=DEFAULT_BUDGET_LADDER
+    n: int, grid: int | None = None, budgets=DEFAULT_BUDGET_LADDER
 ) -> list[ObstructionReport]:
-    """Obstruction reports over a roots-of-unity grid, sorted by phase.
-
-    The accepted set {lambda : best_distance < eps} estimates which scalars
-    admit approximate positive factorizations; it should match the n-th
-    roots of unity.
-    """
+    """Obstruction reports over a roots-of-unity grid, sorted by phase."""
     n = int(n)
     if n < 1:
         raise ValueError("dimension must be >= 1")
@@ -341,24 +337,18 @@ def verify_factorization(pf: PositiveFactorization) -> list[tuple[str, bool, str
     """Full invariant check list for a stored factorization.
 
     Extends the structural checks with the trace-log certificate whenever the
-    target itself is (numerically) unitary.
+    target itself is (numerically) unitary; both read one factor pass.
     """
     tol = tolerances()
-    checks = invariant_report(pf)
-    n = pf.n
-    target_defect = operator_norm(pf.target.conj().T @ pf.target - np.eye(n))
-    if target_defect <= 1e4 * tol.unitary:
-        product = pf.product()
-        defect = operator_norm(product.conj().T @ product - np.eye(n))
+    fp = _factor_pass(pf.factors, pf.n)
+    checks = _invariant_checks(pf, fp)
+    eye = np.eye(pf.n)
+    if operator_norm(pf.target.conj().T @ pf.target - eye) <= 1e4 * tol.unitary:
+        defect = operator_norm(fp.product.conj().T @ fp.product - eye)
         try:
-            record = unitary_product_trace_identity(pf.factors, delta=defect * 1.01 + tol.exact / 100)
-            checks.append(
-                (
-                    "trace-identity",
-                    True,
-                    f"|s| = {abs(record.s):.3e} within bound {record.bound:.3e}",
-                )
-            )
+            record = _trace_identity(fp, delta=defect * 1.01 + tol.exact / 100)
+            checks.append(("trace-identity", True,
+                           f"|s| = {abs(record.s):.3e} within bound {record.bound:.3e}"))
         except ValueError as exc:
             checks.append(("trace-identity", False, str(exc)))
     return checks

@@ -1,11 +1,19 @@
 """Determinant residues, trace identities, and scalar distance landscapes."""
 
+import sys
+
 import numpy as np
 import pytest
 
+from posfactor import matcore
 from posfactor import rng as prng
-from posfactor.factorlab import FactorizationSchedule, unitary_to_positive_factors
-from posfactor.matcore import chain_product, hermitian_eig
+from posfactor.factorlab import (
+    FactorizationSchedule,
+    PositiveFactorization,
+    matrix_to_positive_factors,
+    unitary_to_positive_factors,
+)
+from posfactor.matcore import chain_product, hermitian_eig, positive_log
 from posfactor.obstruction import (
     DEFAULT_BUDGET_LADDER,
     det_nonneg_check,
@@ -164,3 +172,66 @@ def test_verify_factorization_includes_trace_identity_for_unitary_targets():
     names = [name for name, _, _ in checks]
     assert "trace-identity" in names
     assert all(ok for _, ok, _ in checks)
+
+
+def _chain_product_calls(monkeypatch) -> list:
+    """Count chain_product calls made through any posfactor module."""
+    calls = []
+    original = matcore.chain_product
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "posfactor" and getattr(mod, "chain_product", None) is original:
+            monkeypatch.setattr(mod, "chain_product", spy)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["general", "su"])
+def test_verify_factorization_multiplies_the_product_once(monkeypatch, kind):
+    g = prng.stream(34, 44)
+    x = prng.special_unitary(g, 4) if kind == "su" else prng.det_positive(g, 4)
+    pf = matrix_to_positive_factors(x, FactorizationSchedule(8, 8))
+    calls = _chain_product_calls(monkeypatch)
+    checks = verify_factorization(pf)
+    assert len(calls) == 1
+    assert ("trace-identity" in [name for name, _, _ in checks]) == (kind == "su")
+    assert all(ok for _, ok, _ in checks)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_trace_identity_sum_matches_the_factor_logs(dim):
+    u = prng.special_unitary(prng.stream(35, dim), dim)
+    pf = matrix_to_positive_factors(u, FactorizationSchedule(8, 8))
+    rec = unitary_product_trace_identity(pf.factors)
+    reference = sum(np.trace(positive_log(f)).real for f in pf.factors)
+    assert abs(rec.s - reference) <= 1e-11
+
+
+def _asymmetric(f):
+    f = f.copy()
+    f[0, 1] += 0.1
+    return f
+
+
+@pytest.mark.parametrize(
+    "tamper, failing",
+    [
+        (lambda f: -f, {"factors-positive", "trace-identity"}),
+        (lambda f: 2.0 * f, {"trace-identity"}),
+        (_asymmetric, {"factors-hermitian"}),
+    ],
+    ids=["negated", "doubled", "asymmetric"],
+)
+def test_verify_factorization_flags_a_tampered_factor(tamper, failing):
+    u = prng.special_unitary(prng.stream(36, 45), 3)
+    pf = matrix_to_positive_factors(u, FactorizationSchedule(4, 4))
+    factors = (tamper(pf.factors[0]),) + pf.factors[1:]
+    checks = verify_factorization(
+        PositiveFactorization(pf.target, factors, pf.error, pf.method, pf.schedule)
+    )
+    verdicts = {name: ok for name, ok, _ in checks}
+    assert "trace-identity" in verdicts
+    assert not any(verdicts[name] for name in failing)

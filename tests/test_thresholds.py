@@ -62,6 +62,18 @@ def test_env_override_rescales_the_conditioning_floor(monkeypatch):
         matrix_to_positive_factors(x, SMALL)
 
 
+def test_determinant_phase_rounding_is_not_an_obstruction():
+    # At cond 1e9 the computed det phase is off by up to ~n eps cond, above the
+    # pack's 1e-8 determinant tolerance but far inside the conditioning floor.
+    for i in range(100):
+        n = 2 + i % 7
+        x = prng.det_positive(prng.stream(5, 9, i), n, cond=1e9)
+        assert len(matrix_to_positive_factors(x, SMALL).factors) == SMALL.predicted_factors(1)
+        x[:, 0] *= -1  # det < 0: a true obstruction at any conditioning
+        with pytest.raises(DeterminantObstruction):
+            matrix_to_positive_factors(x, SMALL)
+
+
 @given(
     seed=st.integers(0, 2**32 - 1),
     dim=st.integers(1, 4),

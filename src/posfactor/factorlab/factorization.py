@@ -15,6 +15,7 @@ import scipy.linalg
 from ..config import tolerances
 from ..errors import DeterminantObstruction
 from ..matcore import (
+    _real_positive_det,
     _traceless_log,
     as_square_matrix,
     hermitian_defect,
@@ -25,6 +26,7 @@ from ..matcore import (
     polar_decompose,
     require_hermitian,
     require_invertible,
+    traceless_unitary_log,
 )
 from .commutators import shoda_commutator
 from .types import (
@@ -62,11 +64,9 @@ def two_positive_split(x, s) -> PositiveFactorization:
     d = s_inv @ x @ s
     scale = max(operator_norm(x), 1.0)
     witness_tol = tol.reconstruction * scale * cond
-    if hermitian_defect(d) > witness_tol:
+    if hermitian_defect(d) > witness_tol or not is_positive_definite(hermitian_part(d)):
         raise ValueError("witness s does not expose a positive form for x")
     d = hermitian_part(d)
-    if np.linalg.eigvalsh(d)[0] <= 0:
-        raise ValueError("witness s does not expose a positive form for x")
     f1 = hermitian_part(s @ s.conj().T)
     f2 = hermitian_part(s_inv.conj().T @ d @ s_inv)
     pf = PositiveFactorization.measured(x, (f1, f2), "two_positive_split", TRIVIAL_SCHEDULE)
@@ -183,16 +183,10 @@ def _scaled_triple(x: np.ndarray, y: np.ndarray, schedule: FactorizationSchedule
     return best_triple
 
 
-def _unitary_factors(
-    u: np.ndarray, schedule: FactorizationSchedule, det_tol: float
-) -> tuple[np.ndarray, ...]:
-    """Factors of a det-one unitary, () for the identity, from its one Hermitian pair.
-
-    det_tol bounds the determinant defect of u that rounding explains.
-    """
+def _unitary_factors(u: np.ndarray, a: np.ndarray, schedule: FactorizationSchedule):
+    """Factors of a det-one unitary with traceless log a, () for the identity."""
     tol = tolerances()
     n = u.shape[0]
-    a = _traceless_log(u, det_tol).hermitian  # validates unitarity and determinant
     if operator_norm(a) <= tol.exact / 10:
         # a global phase has a zero traceless log; an identity factor records it
         return () if operator_norm(u - np.eye(n)) <= tol.unitary else (np.eye(n, dtype=complex),)
@@ -214,8 +208,8 @@ def unitary_to_positive_factors(
     schedule cap.
     """
     u = as_square_matrix(u, "u")
-    identity = (np.eye(u.shape[0], dtype=complex),)
-    factors = _unitary_factors(u, schedule, tolerances().determinant) or identity
+    a = traceless_unitary_log(u).hermitian  # validates unitarity and det(u) = 1
+    factors = _unitary_factors(u, a, schedule) or (np.eye(u.shape[0], dtype=complex),)
     return PositiveFactorization.measured(u, factors, "unitary_commutator_pipeline", schedule)
 
 
@@ -232,19 +226,17 @@ def matrix_to_positive_factors(
     defect that rounding explains at x's conditioning.
     """
     x = as_square_matrix(x, "x")
-    n = x.shape[0]
     parts = polar_decompose(x)  # validates invertibility
     if is_positive_definite(x):
         return PositiveFactorization.measured(x, (x.copy(),), "positive_definite", schedule)
     det = complex(np.linalg.det(x))
-    # det(x)'s phase is accurate to about n eps cond(x), and the polar unitary inherits that
-    det_tol = max(tolerances().determinant, n * np.finfo(float).eps * parts.cond)
-    if det.real <= 0 or abs(det.imag) > det_tol * abs(det):
+    if not _real_positive_det(det, x.shape[0], parts.cond):  # det(u) has det(x)'s phase
         raise DeterminantObstruction(
             f"det = {det:.6g} is not real positive; "
             "no positive-definite factorization exists"
         )
-    factors = _unitary_factors(parts.unitary, schedule, det_tol) + (parts.positive,)
+    u = parts.unitary
+    factors = _unitary_factors(u, _traceless_log(u).hermitian, schedule) + (parts.positive,)
     return PositiveFactorization.measured(x, factors, "polar_pipeline", schedule)
 
 

@@ -17,6 +17,7 @@ from ..errors import BudgetExceeded
 from ..matcore import (
     chain_product,
     _clears_floor,
+    _real_positive_det,
     hermitian_defect,
     hermitian_part,
     matrix_from_wire,
@@ -160,9 +161,14 @@ def factorization_from_wire(obj) -> PositiveFactorization:
     for key in ("target", "factors", "error", "method", "schedule"):
         if key not in obj:
             raise ValueError(f"factorization object is missing {key!r}")
+    target = matrix_from_wire(obj["target"])
+    factors = tuple(matrix_from_wire(f) for f in obj["factors"])
+    for k, f in enumerate(factors):
+        if f.shape != target.shape:
+            raise ValueError(f"factor {k} has shape {f.shape}, target has shape {target.shape}")
     return PositiveFactorization(
-        target=matrix_from_wire(obj["target"]),
-        factors=tuple(matrix_from_wire(f) for f in obj["factors"]),
+        target=target,
+        factors=factors,
         error=float(obj["error"]),
         method=str(obj["method"]),
         schedule=_schedule_from_wire(obj["schedule"]),
@@ -181,8 +187,10 @@ class _FactorPass:
     min_eigenvalue: float      # smallest eigenvalue of any factor's Hermitian part
     min_relative_eigenvalue: float  # the same, each over max(||f||, 1)
     norm_product: float        # product of the factor norms
-    log_det: float | None      # summed log-eigenvalues; None unless every factor is definite
+    log_det: float | None      # summed log-eigenvalues; None if a factor misses the floor
     product: np.ndarray        # chain_product of the factors
+    det: complex               # its determinant
+    cond: float                # and its condition number
 
 
 def _factor_pass(factors, n: int) -> _FactorPass:
@@ -201,9 +209,11 @@ def _factor_pass(factors, n: int) -> _FactorPass:
         norm_product *= scale
         definite = log_det is not None and _clears_floor(low, eigs[-1])
         log_det = log_det + float(np.sum(np.log(eigs))) if definite else None
+    product = chain_product(factors, n)
     return _FactorPass(
         worst_hermitian=worst_herm, min_eigenvalue=min_eig, min_relative_eigenvalue=min_rel,
-        norm_product=norm_product, log_det=log_det, product=chain_product(factors, n),
+        norm_product=norm_product, log_det=log_det, product=product,
+        det=complex(np.linalg.det(product)), cond=float(np.linalg.cond(product)),
     )
 
 
@@ -211,17 +221,16 @@ def _invariant_checks(pf: PositiveFactorization, fp: _FactorPass) -> list[tuple[
     """The structural checks of ``pf``, read from its factor pass ``fp``."""
     tol = tolerances()
     recomputed = _residual(pf.target, fp.product)
-    det = complex(np.linalg.det(fp.product))
-    det_ok = det.real > 0 and abs(det.imag) <= tol.determinant * (abs(det) or 1.0)
     count, cap = len(pf.factors), pf.schedule.max_factors
     return [
         ("factors-hermitian", fp.worst_hermitian <= tol.hermitian,
          f"worst relative defect {fp.worst_hermitian:.3e}"),
-        ("factors-positive", bool(fp.min_eigenvalue > 0.0),
+        ("factors-positive", fp.log_det is not None,
          f"smallest factor eigenvalue {fp.min_eigenvalue:.6e}"),
         ("error-recompute", abs(recomputed - pf.error) <= tol.exact,
          f"stored {pf.error!r}, recomputed {recomputed!r}"),
-        ("determinant-positive", det_ok, f"det(product) = {det:.6g}"),
+        ("determinant-positive", _real_positive_det(fp.det, pf.n, fp.cond),
+         f"det(product) = {fp.det:.6g}"),
         ("factor-count", count <= cap, f"{count} factors, cap {cap}"),
     ]
 

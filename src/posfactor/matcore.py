@@ -89,6 +89,12 @@ def _clears_floor(smallest: float, largest: float) -> bool:
     return largest > 0 and smallest > tolerances().positivity * largest
 
 
+def _real_positive_det(det: complex, n: int, cond: float) -> bool:
+    """Re det > 0, its phase within the rounding of an n x n det at condition cond."""
+    slack = max(tolerances().determinant, n * np.finfo(float).eps * cond)
+    return bool(det.real > 0 and abs(det.imag) <= slack * abs(det))
+
+
 def is_positive_definite(p: np.ndarray) -> bool:
     """Hermitian within tolerance, every eigenvalue above the positivity floor."""
     if not is_hermitian(p):
@@ -254,21 +260,20 @@ def traceless_unitary_log(u) -> TracelessLog:
     phase deficit (nonzero only when det u is merely close to 1) is spread
     evenly so the trace vanishes exactly.
     """
-    return _traceless_log(u, tolerances().determinant)
-
-
-def _traceless_log(u, det_tol: float) -> TracelessLog:
-    """:func:`traceless_unitary_log` with ``|det u - 1| <= det_tol`` as the determinant test."""
     u = as_square_matrix(u, "u")
-    tol = tolerances()
-    n = u.shape[0]
-    if _unitarity_defect(u) > tol.unitary:
+    if _unitarity_defect(u) > tolerances().unitary:
         raise ValueError("input is not unitary within tolerance")
     det = complex(np.linalg.det(u))
-    if abs(det - 1.0) > det_tol:
+    if not _real_positive_det(det, u.shape[0], 1.0):  # |det u| = 1: real positive is 1
         raise DeterminantObstruction(
             f"det(u) = {det:.6g} is not 1; no traceless logarithm exists"
         )
+    return _traceless_log(u)
+
+
+def _traceless_log(u: np.ndarray) -> TracelessLog:
+    """:func:`traceless_unitary_log` of a unitary whose determinant the caller judged."""
+    n = u.shape[0]
     spec = normal_eig(u)
     phases = np.mod(np.angle(spec.eigenvalues) / (2.0 * np.pi), 1.0)
     total = float(np.sum(phases))

@@ -25,7 +25,7 @@ from .factorlab.types import (
     _FactorPass,
     _invariant_checks,
 )
-from .matcore import as_square_matrix, operator_norm
+from .matcore import _unitarity_defect, as_square_matrix, operator_norm
 
 __all__ = [
     "TraceFunctional",
@@ -146,7 +146,7 @@ def _trace_identity(fp: _FactorPass, delta: float | None) -> TraceIdentityRecord
     if fp.log_det is None:
         raise ValueError("factor is not positive definite within tolerance")
     n = fp.product.shape[0]
-    defect = operator_norm(fp.product.conj().T @ fp.product - np.eye(n))
+    defect = _unitarity_defect(fp.product)
     delta = defect if delta is None else float(delta)
     if defect > delta * (1.0 + tol.exact) + tol.exact / 1000:
         raise ValueError(f"product is not unitary within delta: defect {defect:.3e} > {delta:.3e}")
@@ -158,9 +158,7 @@ def _trace_identity(fp: _FactorPass, delta: float | None) -> TraceIdentityRecord
     bound = n * delta / (2.0 * (1.0 - delta)) + tol.trace
     if abs(s) > bound:
         raise ValueError(f"trace identity violated: |s| = {abs(s):.3e} exceeds bound {bound:.3e}")
-    return TraceIdentityRecord(
-        s=s, delta=delta, defect=defect, bound=bound, det=complex(np.linalg.det(fp.product)),
-    )
+    return TraceIdentityRecord(s=s, delta=delta, defect=defect, bound=bound, det=fp.det)
 
 
 def unitary_product_trace_identity(factors, delta: float | None = None) -> TraceIdentityRecord:
@@ -191,10 +189,10 @@ def det_nonneg_check(factors) -> tuple[bool, complex]:
         raise ValueError("factor is not Hermitian within tolerance")
     if fp.min_relative_eigenvalue < -tol.hermitian:
         raise ValueError("factors must be positive semidefinite")
-    det = complex(np.linalg.det(fp.product))
-    imag_ok = abs(det.imag) <= tol.determinant * abs(det)
-    real_ok = det.real >= -tol.determinant * fp.norm_product
-    return bool(imag_ok and real_ok), det
+    # not _real_positive_det: semidefinite factors may make det exactly 0
+    imag_ok = abs(fp.det.imag) <= tol.determinant * abs(fp.det)
+    real_ok = fp.det.real >= -tol.determinant * fp.norm_product
+    return bool(imag_ok and real_ok), fp.det
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +254,7 @@ def _det_constrained_distance(lam: complex, n: int) -> float:
         for z in (result.x, z0):
             x_mat = unpack(np.asarray(z, dtype=float))
             det = complex(np.linalg.det(x_mat))
+            # feasible for the closure {det real >= 0}, not the open real-positive set
             imag_ok = abs(det.imag) <= tol.determinant / 10 * max(abs(det), 1.0)
             if imag_ok and det.real >= -tol.exact:
                 best = min(best, operator_norm(x_mat - target))
@@ -282,6 +281,7 @@ def scalar_obstruction_distance(
     budgets = tuple(budgets)
     if not budgets:
         raise ValueError("need at least one budget")
+    # not _real_positive_det: membership keeps the reconstruction bound the landscape tests pin
     in_group = abs(lam**n - 1.0) <= tol.reconstruction
 
     if not in_group:
@@ -342,9 +342,8 @@ def verify_factorization(pf: PositiveFactorization) -> list[tuple[str, bool, str
     tol = tolerances()
     fp = _factor_pass(pf.factors, pf.n)
     checks = _invariant_checks(pf, fp)
-    eye = np.eye(pf.n)
-    if operator_norm(pf.target.conj().T @ pf.target - eye) <= 1e4 * tol.unitary:
-        defect = operator_norm(fp.product.conj().T @ fp.product - eye)
+    if _unitarity_defect(pf.target) <= 1e4 * tol.unitary:
+        defect = _unitarity_defect(fp.product)
         try:
             record = _trace_identity(fp, delta=defect * 1.01 + tol.exact / 100)
             checks.append(("trace-identity", True,

@@ -181,6 +181,18 @@ def test_verify_rejects_tampered_factorization(target_file, tmp_path):
     assert b"FAIL" in result.stdout
 
 
+def test_verify_rejects_a_factor_of_the_wrong_shape(target_file, tmp_path):
+    out = tmp_path / "fact.json"
+    made = run_cli("factor", "--target", str(target_file), "--schedule", "4,4", "--out", str(out))
+    assert made.returncode == 0
+    payload = json.loads(out.read_text())
+    payload["factors"][1] = matrix_to_wire(np.eye(3))
+    out.write_text(json.dumps(payload))
+    result = run_cli("verify", str(out))
+    assert result.returncode == 1
+    assert b"factor 1 has shape (3, 3), target has shape (2, 2)" in result.stderr
+
+
 def test_tolerance_env_var_must_be_positive(target_file):
     import os
 

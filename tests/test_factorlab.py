@@ -66,6 +66,10 @@ class TestTwoPositiveSplit:
         with pytest.raises(NotInvertible):
             two_positive_split(np.eye(2), np.zeros((2, 2)))
 
+    def test_rejects_a_form_below_the_definiteness_floor(self):
+        with pytest.raises(ValueError):
+            two_positive_split(np.diag([1.0, 1e-14]), np.eye(2))
+
 
 class TestConjugatePositiveAsTwo:
     def test_unitary_conjugation_has_trivial_second_factor(self):

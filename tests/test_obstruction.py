@@ -222,8 +222,9 @@ def _asymmetric(f):
         (lambda f: -f, {"factors-positive", "trace-identity"}),
         (lambda f: 2.0 * f, {"trace-identity"}),
         (_asymmetric, {"factors-hermitian"}),
+        (lambda f: np.diag([1.0, 1.0, 1e-14]), {"factors-positive", "trace-identity"}),
     ],
-    ids=["negated", "doubled", "asymmetric"],
+    ids=["negated", "doubled", "asymmetric", "near-singular"],
 )
 def test_verify_factorization_flags_a_tampered_factor(tamper, failing):
     u = prng.special_unitary(prng.stream(36, 45), 3)

@@ -19,6 +19,7 @@ from posfactor.errors import (
 )
 from posfactor.factorlab import FactorizationSchedule, matrix_to_positive_factors
 from posfactor.matcore import polar_decompose
+from posfactor.obstruction import verify_factorization
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "posfactor"
 
@@ -64,11 +65,14 @@ def test_env_override_rescales_the_conditioning_floor(monkeypatch):
 
 def test_determinant_phase_rounding_is_not_an_obstruction():
     # At cond 1e9 the computed det phase is off by up to ~n eps cond, above the
-    # pack's 1e-8 determinant tolerance but far inside the conditioning floor.
+    # pack's 1e-8 determinant tolerance but far inside the conditioning floor;
+    # the same holds for the product that verify_factorization judges.
     for i in range(100):
         n = 2 + i % 7
         x = prng.det_positive(prng.stream(5, 9, i), n, cond=1e9)
-        assert len(matrix_to_positive_factors(x, SMALL).factors) == SMALL.predicted_factors(1)
+        pf = matrix_to_positive_factors(x, SMALL)
+        assert len(pf.factors) == SMALL.predicted_factors(1)
+        assert all(ok for _, ok, _ in verify_factorization(pf)), i
         x[:, 0] *= -1  # det < 0: a true obstruction at any conditioning
         with pytest.raises(DeterminantObstruction):
             matrix_to_positive_factors(x, SMALL)

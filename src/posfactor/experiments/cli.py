@@ -25,7 +25,7 @@ from ..factorlab import (
     matrix_to_positive_factors,
 )
 from ..factorlab.types import FactorizationSchedule
-from ..matcore import approximate_invertible, matrix_from_wire
+from ..matcore import approximate_invertible, matrix_from_wire, operator_norm
 from ..obstruction import DEFAULT_BUDGET_LADDER, verify_factorization
 from .emit import format_value, rows_to_csv, to_json, write_output
 from .runners import (
@@ -193,12 +193,13 @@ def _cmd_factor(args) -> int:
         sys.stdout.write(payload)
     count = len(pf.factors)
     summary_stream.write(
-        "factored: method={} error={} factors={} landmark={} ratio={}\n".format(
+        "factored: method={} error={} factors={} landmark={} ratio={} rel_error={}\n".format(
             pf.method,
             format_value(pf.error),
             count,
             LANDMARK_FACTOR_COUNT,
             format_value(count / LANDMARK_FACTOR_COUNT),
+            format_value(pf.error / operator_norm(pf.target)),
         )
     )
     if args.verify:

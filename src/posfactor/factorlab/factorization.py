@@ -5,6 +5,8 @@ determinant-one unitary is exp of one commutator [x, y] with x and y Hermitian,
 approximated by one three-factor group-commutator block repeated t * c^2
 times.  A general invertible matrix with real positive determinant appends its
 polar positive part, for a predicted count of trotter * 3 * commutator^2 + 1.
+The pipeline records that run structure as the word ((3, t * c^2), (1, 1)),
+so the block is multiplied, checked and stored once.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import scipy.linalg
 from ..config import tolerances
 from ..errors import DeterminantObstruction
 from ..matcore import (
+    _block_power,
     _real_positive_det,
     _traceless_log,
     as_square_matrix,
@@ -156,8 +159,8 @@ def commutator_exp_factors(a, b, n: int) -> PositiveFactorization:
         commutator_steps=n,
         max_factors=max(DEFAULT_SCHEDULE.max_factors, 3 * n * n + 1),
     )
-    factors = tuple(triple) * (n * n)
-    return PositiveFactorization.measured(target, factors, "commutator_exp", schedule)
+    return PositiveFactorization.measured(target, triple, "commutator_exp", schedule,
+                                          ((3, n * n),))
 
 
 def _scaled_triple(x: np.ndarray, y: np.ndarray, schedule: FactorizationSchedule):
@@ -175,8 +178,7 @@ def _scaled_triple(x: np.ndarray, y: np.ndarray, schedule: FactorizationSchedule
     for k in (-2, -1, 0, 1, 2):
         s = s0 * 2.0**k
         triple = _block_triple(x / (s * c_steps), (s * y) / (t_steps * c_steps))
-        block = triple[0] @ triple[1] @ triple[2]
-        piece = np.linalg.matrix_power(block, c_steps * c_steps)
+        piece = _block_power(triple, c_steps * c_steps)
         err = operator_norm(piece - piece_target)
         if err < best_err:
             best_err, best_triple = err, triple
@@ -184,17 +186,19 @@ def _scaled_triple(x: np.ndarray, y: np.ndarray, schedule: FactorizationSchedule
 
 
 def _unitary_factors(u: np.ndarray, a: np.ndarray, schedule: FactorizationSchedule):
-    """Factors of a det-one unitary with traceless log a, () for the identity."""
+    """Block factors and word of a det-one unitary with traceless log a, empty for the identity."""
     tol = tolerances()
     n = u.shape[0]
     if operator_norm(a) <= tol.exact / 10:
         # a global phase has a zero traceless log; an identity factor records it
-        return () if operator_norm(u - np.eye(n)) <= tol.unitary else (np.eye(n, dtype=complex),)
+        if operator_norm(u - np.eye(n)) <= tol.unitary:
+            return (), ()
+        return (np.eye(n, dtype=complex),), ((1, 1),)
     schedule.require_budget(1)
     x, y = shoda_commutator(2j * np.pi * a)  # exp(2 pi i a) = u
     x = x - (np.trace(x) / n) * np.eye(n)  # free recentering
     triple = _scaled_triple(x, y, schedule)
-    return tuple(triple) * (schedule.trotter_steps * schedule.commutator_steps**2)
+    return tuple(triple), ((3, schedule.trotter_steps * schedule.commutator_steps**2),)
 
 
 def unitary_to_positive_factors(
@@ -209,8 +213,10 @@ def unitary_to_positive_factors(
     """
     u = as_square_matrix(u, "u")
     a = traceless_unitary_log(u).hermitian  # validates unitarity and det(u) = 1
-    factors = _unitary_factors(u, a, schedule) or (np.eye(u.shape[0], dtype=complex),)
-    return PositiveFactorization.measured(u, factors, "unitary_commutator_pipeline", schedule)
+    blocks, word = _unitary_factors(u, a, schedule)
+    if not blocks:
+        blocks, word = (np.eye(u.shape[0], dtype=complex),), ((1, 1),)
+    return PositiveFactorization.measured(u, blocks, "unitary_commutator_pipeline", schedule, word)
 
 
 def matrix_to_positive_factors(
@@ -236,8 +242,9 @@ def matrix_to_positive_factors(
             "no positive-definite factorization exists"
         )
     u = parts.unitary
-    factors = _unitary_factors(u, _traceless_log(u).hermitian, schedule) + (parts.positive,)
-    return PositiveFactorization.measured(x, factors, "polar_pipeline", schedule)
+    blocks, word = _unitary_factors(u, _traceless_log(u).hermitian, schedule)
+    return PositiveFactorization.measured(x, blocks + (parts.positive,), "polar_pipeline",
+                                          schedule, word + ((1, 1),))
 
 
 def direct_sum_factorization(blocks) -> PositiveFactorization:

@@ -122,22 +122,48 @@ def _unitarity_defect(u: np.ndarray) -> float:
     return operator_norm(u.conj().T @ u - np.eye(u.shape[0]))
 
 
-def chain_product(factors, n: int | None = None) -> np.ndarray:
-    """Ordered product of a factor list under the canonical association.
+def chain_product(factors, n: int | None = None, word=None) -> np.ndarray:
+    """Ordered product of a factor word under the canonical association.
 
-    The product is evaluated as a balanced pairwise tree: neighbours are
-    multiplied in place, the odd element (if any) carried to the next pass.
+    ``word`` is the run structure ``((block_length, repeat), ...)`` of the
+    product, and ``factors`` hold each block's factors once, block after
+    block; the default word is one flat block of all of them.  Each block is
+    evaluated as a balanced pairwise tree (neighbours multiplied in place,
+    the odd element, if any, carried to the next pass), raised to its repeat
+    by repeated squaring, and the blocks are multiplied left to right.
     This is the package-wide *definition* of a chain product — stored
     residuals and verification recompute through this same routine, so the
     two always agree.
     """
     mats = [np.asarray(f, dtype=complex) for f in factors]
+    if word is None:
+        word = _flat_word(len(mats))
+    if sum(length for length, _ in word) != len(mats):
+        raise ValueError(f"word block lengths do not sum to the {len(mats)} factors given")
     if not mats:
         if n is None:
             raise ValueError("empty factor list needs an explicit dimension")
         return np.eye(int(n), dtype=complex)
+    product, start = None, 0
+    for length, repeat in word:
+        block = _block_power(mats[start:start + length], repeat)
+        product = block if product is None else product @ block
+        start += length
+    return product
+
+
+def _flat_word(count: int) -> tuple[tuple[int, int], ...]:
+    """The word of ``count`` factors taken once each, in one block."""
+    return ((count, 1),) if count else ()
+
+
+def _block_power(mats, repeat: int) -> np.ndarray:
+    """One block of :func:`chain_product`: its balanced tree to the power ``repeat``.
+
+    Always a fresh array, never one of the inputs.
+    """
     if len(mats) == 1:
-        return mats[0].copy()
+        return np.linalg.matrix_power(mats[0].copy(), repeat)
     arr = np.stack(mats)
     while arr.shape[0] > 1:
         m = arr.shape[0]
@@ -145,7 +171,7 @@ def chain_product(factors, n: int | None = None) -> np.ndarray:
         if m % 2:
             paired = np.concatenate([paired, arr[-1:]], axis=0)
         arr = paired
-    return arr[0]
+    return np.linalg.matrix_power(arr[0], repeat)
 
 
 # ---------------------------------------------------------------------------

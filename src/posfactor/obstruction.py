@@ -340,7 +340,7 @@ def verify_factorization(pf: PositiveFactorization) -> list[tuple[str, bool, str
     target itself is (numerically) unitary; both read one factor pass.
     """
     tol = tolerances()
-    fp = _factor_pass(pf.factors, pf.n)
+    fp = _factor_pass(pf.block_factors(), pf.n, pf.word)
     checks = _invariant_checks(pf, fp)
     if _unitarity_defect(pf.target) <= 1e4 * tol.unitary:
         defect = _unitarity_defect(fp.product)

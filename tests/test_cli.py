@@ -1,13 +1,19 @@
 """End-to-end command-line checks driven through subprocesses."""
 
 import json
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from posfactor.matcore import matrix_to_wire
+from posfactor.factorlab import (
+    FactorizationSchedule,
+    factorization_to_wire,
+    matrix_to_positive_factors,
+)
+from posfactor.matcore import matrix_from_wire, matrix_to_wire
 
 SUBCOMMAND_ARGS = {
     "density": ["density"],
@@ -191,6 +197,49 @@ def test_verify_rejects_a_factor_of_the_wrong_shape(target_file, tmp_path):
     result = run_cli("verify", str(out))
     assert result.returncode == 1
     assert b"factor 1 has shape (3, 3), target has shape (2, 2)" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("schedule", {}, "schedule is missing 'trotter'"),
+        ("schedule", {"trotter": "4", "commutator": 4, "maxFactors": 100000},
+         "schedule 'trotter' must be a positive integer, got '4'"),
+        ("schedule", {"trotter": 4, "commutator": 4.5, "maxFactors": 100000},
+         "schedule 'commutator' must be a positive integer, got 4.5"),
+        ("word", "flat", "word must be a list of [block_length, repeat] pairs"),
+        ("word", [[3, 0], [1, 1]], "word block 0 repeat must be a positive integer, got 0"),
+        ("word", [[3, 64], [1, True]], "word block 1 repeat must be a positive integer, got True"),
+        ("word", [[2, 64], [1, 1]], "word block lengths sum to 3, but 4 factors are stored"),
+        ("word", [[3, 10**12], [1, 1]], "word spells 3000000000001 factors, over the schedule cap 100000"),
+    ],
+    ids=["schedule-empty", "schedule-string", "schedule-float", "word-not-a-list",
+         "word-zero-repeat", "word-bool-repeat", "word-short", "word-over-cap"],
+)
+def test_verify_rejects_a_malformed_schedule_or_word(target_file, tmp_path, key, value, message):
+    x = matrix_from_wire(json.loads(target_file.read_text()))
+    payload = factorization_to_wire(matrix_to_positive_factors(x, FactorizationSchedule(4, 4)))
+    payload[key] = value
+    out = tmp_path / "fact.json"
+    out.write_text(json.dumps(payload))
+    result = run_cli("verify", str(out))
+    assert result.returncode == 1
+    assert result.stderr.decode() == f"error: {message}\n"
+
+
+def test_factor_summary_reports_relative_error(tmp_path):
+    rel = []
+    for scale in (1.0, 1e150):
+        path = tmp_path / "target.json"
+        path.write_text(json.dumps(matrix_to_wire(scale * np.array([[1.0, 1.0], [0.0, 1.0]]))))
+        result = run_cli("factor", "--target", str(path), "--out", str(tmp_path / "fact.json"))
+        assert result.returncode == 0, result.stderr
+        summary = result.stdout.decode()
+        assert re.match(r"factored: method=(\S+) error=(\S+) factors=(\d+) landmark=11 ratio=\S+ "
+                        r"rel_error=\S+\n$", summary)
+        rel.append(float(summary.split("rel_error=")[1]))
+    assert 0.0 < rel[0] < 1.0
+    assert abs(rel[1] - rel[0]) <= 1e-12 * rel[0]
 
 
 def test_tolerance_env_var_must_be_positive(target_file):

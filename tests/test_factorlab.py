@@ -1,5 +1,7 @@
 """Factorization pipeline: splits, product formulas, budgets, wire format."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,9 @@ from posfactor.factorlab import (
     two_positive_split,
     unitary_to_positive_factors,
 )
-from posfactor.matcore import chain_product, matrix_exp, operator_norm
+from posfactor.experiments.emit import to_json
+from posfactor.matcore import chain_product, matrix_exp, matrix_to_wire, operator_norm
+from posfactor.obstruction import verify_factorization
 
 
 def _assert_all_invariants(pf):
@@ -251,17 +255,42 @@ def test_schedule_validation():
 
 def test_factorization_wire_round_trip():
     u = np.diag([1j, -1j])
-    pf = unitary_to_positive_factors(u, FactorizationSchedule(4, 4))
-    wire = factorization_to_wire(pf)
-    back = factorization_from_wire(wire)
-    assert back.method == pf.method
-    assert back.error == pf.error
-    assert back.schedule == pf.schedule
-    assert len(back.factors) == len(pf.factors)
-    assert np.array_equal(back.target, pf.target)
-    assert all(np.array_equal(a, b) for a, b in zip(back.factors, pf.factors))
-    # the recomputed error survives serialization bit-for-bit
-    assert back.recomputed_error() == pf.recomputed_error()
+    small = unitary_to_positive_factors(u, FactorizationSchedule(4, 4))
+    large = matrix_to_positive_factors(prng.det_positive(prng.stream(13, 8), 8),
+                                       FactorizationSchedule(32, 32))
+    for pf in (small, large):
+        text = to_json(factorization_to_wire(pf))
+        back = factorization_from_wire(json.loads(text))
+        assert back.method == pf.method
+        assert back.error == pf.error
+        assert back.schedule == pf.schedule
+        assert back.word == pf.word
+        assert len(back.factors) == len(pf.factors)
+        assert np.array_equal(back.target, pf.target)
+        assert all(np.array_equal(a, b) for a, b in zip(back.factors, pf.factors))
+        # the recomputed error survives serialization bit-for-bit
+        assert back.recomputed_error() == pf.recomputed_error()
+    # each block factor is written once: 4 matrices for 98 305 factors
+    assert len(to_json(factorization_to_wire(large)).encode()) < 64 * 1024
+    # a file without a word stores every factor and reads back as one flat block
+    flat = factorization_to_wire(small)
+    del flat["word"]
+    flat["factors"] = [matrix_to_wire(f) for f in small.factors]
+    flat["error"] = operator_norm(small.target - chain_product(small.factors))
+    back = factorization_from_wire(flat)
+    assert back.word == ((len(small.factors), 1),)
+    assert all(ok for _, ok, _ in verify_factorization(back))
+
+
+@pytest.mark.parametrize("dim, steps", [(2, 8), (4, 8), (8, 8), (16, 8), (4, 32)])
+def test_product_matches_a_left_to_right_product(dim, steps):
+    x = prng.det_positive(prng.stream(14, dim, steps), dim)
+    pf = matrix_to_positive_factors(x, FactorizationSchedule(steps, steps))
+    assert pf.word == ((3, steps**3), (1, 1))
+    acc = np.eye(dim, dtype=complex)
+    for f in pf.factors:
+        acc = acc @ f
+    assert operator_norm(pf.product() - acc) <= 1e-9 * operator_norm(x)
 
 
 def test_default_schedule_is_eight_by_eight():

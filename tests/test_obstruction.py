@@ -10,10 +10,13 @@ from posfactor import rng as prng
 from posfactor.factorlab import (
     FactorizationSchedule,
     PositiveFactorization,
+    factorization_from_wire,
+    factorization_to_wire,
     matrix_to_positive_factors,
     unitary_to_positive_factors,
 )
-from posfactor.matcore import chain_product, hermitian_eig, positive_log
+from posfactor.factorlab import types
+from posfactor.matcore import chain_product, hermitian_eig, matrix_to_wire, positive_log
 from posfactor.obstruction import (
     DEFAULT_BUDGET_LADDER,
     det_nonneg_check,
@@ -201,6 +204,35 @@ def test_verify_factorization_multiplies_the_product_once(monkeypatch, kind):
     assert all(ok for _, ok, _ in checks)
 
 
+def test_trace_identity_counts_a_stored_factor_once_per_repeat():
+    # (2 I)^3 (I / 8) = I: the log-determinants cancel only if 2 I counts three times
+    eye = np.eye(2, dtype=complex)
+    pf = PositiveFactorization.measured(eye, (2.0 * eye, eye / 8.0), "word",
+                                        FactorizationSchedule(1, 1), ((1, 3), (1, 1)))
+    assert len(pf.factors) == 4
+    assert pf.error == 0.0
+    verdicts = {name: ok for name, ok, _ in verify_factorization(pf)}
+    assert "trace-identity" in verdicts
+    assert all(verdicts.values())
+
+
+def test_verify_factorization_checks_each_stored_factor_once(monkeypatch):
+    x = prng.det_positive(prng.stream(34, 46), 4)
+    pf = matrix_to_positive_factors(x, FactorizationSchedule(16, 16))
+    calls = []
+    original = types.hermitian_defect
+
+    def spy(f):
+        calls.append(1)
+        return original(f)
+
+    monkeypatch.setattr(types, "hermitian_defect", spy)
+    checks = verify_factorization(pf)
+    assert len(pf.factors) == 12_289
+    assert len(calls) == 4  # the three block factors and the polar factor
+    assert all(ok for _, ok, _ in checks)
+
+
 @pytest.mark.parametrize("dim", [2, 4, 8])
 def test_trace_identity_sum_matches_the_factor_logs(dim):
     u = prng.special_unitary(prng.stream(35, dim), dim)
@@ -216,23 +248,32 @@ def _asymmetric(f):
     return f
 
 
+_TAMPERS = {
+    "negated": (lambda f: -f, {"factors-positive", "trace-identity"}),
+    "doubled": (lambda f: 2.0 * f, {"trace-identity"}),
+    "asymmetric": (_asymmetric, {"factors-hermitian"}),
+    "near-singular": (lambda f: np.diag([1.0, 1.0, 1e-14]), {"factors-positive", "trace-identity"}),
+}
+
+
 @pytest.mark.parametrize(
-    "tamper, failing",
-    [
-        (lambda f: -f, {"factors-positive", "trace-identity"}),
-        (lambda f: 2.0 * f, {"trace-identity"}),
-        (_asymmetric, {"factors-hermitian"}),
-        (lambda f: np.diag([1.0, 1.0, 1e-14]), {"factors-positive", "trace-identity"}),
-    ],
-    ids=["negated", "doubled", "asymmetric", "near-singular"],
+    "form, tamper, failing",
+    [("flat", *case) for case in _TAMPERS.values()]
+    + [("word", *case) for case in _TAMPERS.values()],
+    ids=list(_TAMPERS) + [f"word-{name}" for name in _TAMPERS],
 )
-def test_verify_factorization_flags_a_tampered_factor(tamper, failing):
+def test_verify_factorization_flags_a_tampered_factor(form, tamper, failing):
     u = prng.special_unitary(prng.stream(36, 45), 3)
     pf = matrix_to_positive_factors(u, FactorizationSchedule(4, 4))
-    factors = (tamper(pf.factors[0]),) + pf.factors[1:]
-    checks = verify_factorization(
-        PositiveFactorization(pf.target, factors, pf.error, pf.method, pf.schedule)
-    )
+    if form == "flat":  # one copy of the first factor
+        factors = (tamper(pf.factors[0]),) + pf.factors[1:]
+        tampered = PositiveFactorization(pf.target, factors, pf.error, pf.method, pf.schedule)
+    else:  # the stored first block factor, so every repeat of it
+        wire = factorization_to_wire(pf)
+        wire["factors"][0] = matrix_to_wire(tamper(pf.factors[0]))
+        tampered = factorization_from_wire(wire)
+        assert tampered.word == pf.word == ((3, 64), (1, 1))
+    checks = verify_factorization(tampered)
     verdicts = {name: ok for name, ok, _ in checks}
     assert "trace-identity" in verdicts
     assert not any(verdicts[name] for name in failing)
